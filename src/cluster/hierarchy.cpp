@@ -109,11 +109,11 @@ std::string HierarchyView::validate(const Graph& g,
   }
   HINET_REQUIRE(max_hops >= 1, "max_hops must be >= 1");
   // Hop distances from each head are needed only when some member is
-  // affiliated with it; compute lazily and cache per head.
+  // affiliated with it and max_hops > 1; compute lazily and cache per head.
   // Error strings are built only on the failure path: this runs per node
   // per generated phase, and an eager ostringstream per node dominated the
   // happy path.
-  std::vector<std::vector<int>> dist_cache(role_.size());
+  std::vector<std::vector<int>> dist_cache(max_hops > 1 ? role_.size() : 0);
   for (NodeId v = 0; v < role_.size(); ++v) {
     const ClusterId k = cluster_[v];
     if (role_[v] == NodeRole::kHead) {

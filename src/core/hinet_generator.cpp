@@ -43,114 +43,13 @@ struct BackboneLayout {
   std::vector<NodeId> gateways;  ///< relay nodes, chain order
 };
 
-BackboneLayout plan_backbone(const HiNetConfig& cfg,
-                             const std::vector<NodeId>& head_set, Rng& rng) {
-  const std::size_t n = cfg.nodes;
-  const auto l = static_cast<std::size_t>(cfg.hop_l);
-  BackboneLayout layout;
-  layout.chain = head_set;
-  rng.shuffle(layout.chain);
-
-  std::vector<char> is_head(n, 0);
-  for (NodeId h : layout.chain) is_head[h] = 1;
-
-  std::vector<NodeId> pool;
-  pool.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (!is_head[v]) pool.push_back(v);
-  }
-  const std::size_t relay_count =
-      layout.chain.empty() ? 0 : (layout.chain.size() - 1) * (l - 1);
-  HINET_REQUIRE(pool.size() >= relay_count,
-                "not enough nodes for the backbone relays");
-  rng.shuffle(pool);
-  layout.gateways.assign(
-      pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(relay_count));
-  return layout;
-}
-
 struct PhasePlan {
   std::vector<ClusterId> head_of;  ///< per node affiliation (kNoCluster ok)
   Graph stable;                    ///< backbone + member edges
   HierarchyView view;
 };
 
-/// Lays out one phase from a backbone layout: build the chain graph, then
-/// affiliate every non-backbone node with a head (keeping its previous
-/// head when possible — the re-affiliation coin decides churn).
-PhasePlan plan_phase(const HiNetConfig& cfg, const BackboneLayout& layout,
-                     const std::vector<ClusterId>& prev_head_of, Rng& rng,
-                     std::size_t* reaffiliations) {
-  const std::size_t n = cfg.nodes;
-  const auto l = static_cast<std::size_t>(cfg.hop_l);
-  PhasePlan plan;
-  plan.stable = Graph(n);
-  plan.view = HierarchyView(n);
-  plan.head_of.assign(n, kNoCluster);
-
-  std::vector<char> is_head(n, 0);
-  for (NodeId h : layout.chain) {
-    plan.view.set_head(h);
-    plan.head_of[h] = h;
-    is_head[h] = 1;
-  }
-  std::vector<char> is_gateway(n, 0);
-  for (NodeId v : layout.gateways) is_gateway[v] = 1;
-
-  std::size_t relay_cursor = 0;
-  for (std::size_t i = 0; i + 1 < layout.chain.size(); ++i) {
-    NodeId prev = layout.chain[i];
-    const NodeId right = layout.chain[i + 1];
-    for (std::size_t hop = 1; hop < l; ++hop) {
-      const NodeId relay = layout.gateways[relay_cursor++];
-      plan.stable.add_edge(prev, relay);
-      // Affiliate the relay with whichever chain head it is adjacent to;
-      // middle relays of an L>3 backbone touch no head and stay
-      // unaffiliated (the "at most one cluster" case).
-      if (hop == 1) {
-        plan.view.set_member(relay, layout.chain[i], /*gateway=*/true);
-        plan.head_of[relay] = layout.chain[i];
-      } else if (hop == l - 1) {
-        plan.view.set_member(relay, right, /*gateway=*/true);
-        plan.head_of[relay] = right;
-      } else {
-        plan.view.set_unaffiliated_gateway(relay);
-      }
-      prev = relay;
-    }
-    plan.stable.add_edge(prev, right);
-  }
-
-  // Members: everyone not a head or relay.
-  for (NodeId v = 0; v < n; ++v) {
-    if (is_head[v] || is_gateway[v]) continue;
-    const ClusterId prev = prev_head_of[v];
-    ClusterId target = kNoCluster;
-    const bool prev_valid = prev != kNoCluster && is_head[prev];
-    if (prev_valid && !rng.bernoulli(cfg.reaffiliation_prob)) {
-      target = prev;
-    } else {
-      target = rng.pick(layout.chain);
-      if (prev_valid && target != prev && reaffiliations != nullptr) {
-        ++*reaffiliations;
-      }
-      // Forced moves (previous head vanished) also count: the member must
-      // re-affiliate regardless of the coin.
-      if (!prev_valid && prev != kNoCluster && reaffiliations != nullptr) {
-        ++*reaffiliations;
-      }
-    }
-    plan.view.set_member(v, target);
-    plan.head_of[v] = target;
-    plan.stable.add_edge(v, target);
-  }
-
-  HINET_ENSURE(plan.view.validate(plan.stable).empty(),
-               "generated phase hierarchy invalid");
-  return plan;
-}
-
-void add_churn_edges(Graph& g, std::size_t count, Rng& rng) {
+void add_churn_edges(GraphBuilder& g, std::size_t count, Rng& rng) {
   const std::size_t n = g.node_count();
   if (n < 2) return;
   for (std::size_t e = 0; e < count; ++e) {
@@ -244,7 +143,8 @@ HierarchyView load_view(ByteReader& r) {
 /// the driver holds phase 0's plan; advance() moves to the next phase.
 class PhaseDriver {
  public:
-  explicit PhaseDriver(const HiNetConfig& cfg) : cfg_(cfg) {
+  explicit PhaseDriver(const HiNetConfig& cfg)
+      : cfg_(cfg), blank_view_(cfg.nodes) {
     validate_config(cfg);
     reset();
   }
@@ -279,14 +179,14 @@ class PhaseDriver {
   }
 
   std::size_t phase() const { return phase_; }
-  const Graph& stable() const { return plan_.stable; }
   const HierarchyView& view() const { return plan_.view; }
 
-  /// One realized round: the phase's stable graph plus ephemeral churn.
-  Graph realize_round() {
-    Graph g = plan_.stable;
-    add_churn_edges(g, cfg_.churn_edges, churn_rng_);
-    return g;
+  /// One realized round, written into out's storage: the phase's stable
+  /// graph plus ephemeral churn edges.
+  void realize_round(Graph& out) {
+    churn_.reset(cfg_.nodes);
+    add_churn_edges(churn_, cfg_.churn_edges, churn_rng_);
+    churn_.build_onto(plan_.stable, out);
   }
 
   /// Phase-level statistics accumulated so far; theta is finalized from
@@ -381,12 +281,12 @@ class PhaseDriver {
       for (NodeId& h : head_set_) {
         if (!head_rng_.bernoulli(cfg_.head_churn_prob)) continue;
         // Swap head role with a random non-head node.
-        std::vector<char> is_head(cfg_.nodes, 0);
-        for (NodeId x : head_set_) is_head[x] = 1;
+        is_head_.assign(cfg_.nodes, 0);
+        for (NodeId x : head_set_) is_head_[x] = 1;
         NodeId replacement = h;
         for (int attempt = 0; attempt < 64; ++attempt) {
           const auto cand = static_cast<NodeId>(head_rng_.below(cfg_.nodes));
-          if (!is_head[cand]) {
+          if (!is_head_[cand]) {
             replacement = cand;
             break;
           }
@@ -405,11 +305,104 @@ class PhaseDriver {
 
     if (first || heads_changed ||
         layout_rng_.bernoulli(cfg_.backbone_rewire_prob)) {
-      layout_ = plan_backbone(cfg_, head_set_, layout_rng_);
+      plan_backbone();
     }
-    plan_ = plan_phase(cfg_, layout_, prev_head_of_, layout_rng_,
-                       &stats_.reaffiliation_events);
+    plan_phase();
     prev_head_of_ = plan_.head_of;
+  }
+
+  /// Lays the backbone out afresh from the head set: shuffled chain order,
+  /// then (L-1) relays per chain link drawn from the shuffled non-heads.
+  void plan_backbone() {
+    const std::size_t n = cfg_.nodes;
+    const auto l = static_cast<std::size_t>(cfg_.hop_l);
+    layout_.chain = head_set_;
+    layout_rng_.shuffle(layout_.chain);
+
+    is_head_.assign(n, 0);
+    for (NodeId h : layout_.chain) is_head_[h] = 1;
+    pool_.clear();
+    for (NodeId v = 0; v < n; ++v) {
+      if (!is_head_[v]) pool_.push_back(v);
+    }
+    const std::size_t relay_count =
+        layout_.chain.empty() ? 0 : (layout_.chain.size() - 1) * (l - 1);
+    HINET_REQUIRE(pool_.size() >= relay_count,
+                  "not enough nodes for the backbone relays");
+    layout_rng_.shuffle(pool_);
+    layout_.gateways.assign(pool_.begin(),
+                            pool_.begin() +
+                                static_cast<std::ptrdiff_t>(relay_count));
+  }
+
+  /// Lays out one phase from the backbone layout into plan_'s storage: emit
+  /// the chain edges, then affiliate every non-backbone node with a head
+  /// (keeping its previous head when possible — the re-affiliation coin
+  /// decides churn), and freeze the stable graph once.
+  void plan_phase() {
+    const std::size_t n = cfg_.nodes;
+    const auto l = static_cast<std::size_t>(cfg_.hop_l);
+    PhasePlan& plan = plan_;
+    stable_.reset(n);
+    plan.view = blank_view_;  // copy-assignment reuses the view's storage
+    plan.head_of.assign(n, kNoCluster);
+
+    is_head_.assign(n, 0);
+    for (NodeId h : layout_.chain) {
+      plan.view.set_head(h);
+      plan.head_of[h] = h;
+      is_head_[h] = 1;
+    }
+    is_gateway_.assign(n, 0);
+    for (NodeId v : layout_.gateways) is_gateway_[v] = 1;
+
+    std::size_t relay_cursor = 0;
+    for (std::size_t i = 0; i + 1 < layout_.chain.size(); ++i) {
+      NodeId prev = layout_.chain[i];
+      const NodeId right = layout_.chain[i + 1];
+      for (std::size_t hop = 1; hop < l; ++hop) {
+        const NodeId relay = layout_.gateways[relay_cursor++];
+        stable_.add_edge(prev, relay);
+        // Affiliate the relay with whichever chain head it is adjacent to;
+        // middle relays of an L>3 backbone touch no head and stay
+        // unaffiliated (the "at most one cluster" case).
+        if (hop == 1) {
+          plan.view.set_member(relay, layout_.chain[i], /*gateway=*/true);
+          plan.head_of[relay] = layout_.chain[i];
+        } else if (hop == l - 1) {
+          plan.view.set_member(relay, right, /*gateway=*/true);
+          plan.head_of[relay] = right;
+        } else {
+          plan.view.set_unaffiliated_gateway(relay);
+        }
+        prev = relay;
+      }
+      stable_.add_edge(prev, right);
+    }
+
+    // Members: everyone not a head or relay.
+    for (NodeId v = 0; v < n; ++v) {
+      if (is_head_[v] || is_gateway_[v]) continue;
+      const ClusterId prev = prev_head_of_[v];
+      ClusterId target = kNoCluster;
+      const bool prev_valid = prev != kNoCluster && is_head_[prev];
+      if (prev_valid && !layout_rng_.bernoulli(cfg_.reaffiliation_prob)) {
+        target = prev;
+      } else {
+        target = layout_rng_.pick(layout_.chain);
+        if (prev_valid && target != prev) ++stats_.reaffiliation_events;
+        // Forced moves (previous head vanished) also count: the member must
+        // re-affiliate regardless of the coin.
+        if (!prev_valid && prev != kNoCluster) ++stats_.reaffiliation_events;
+      }
+      plan.view.set_member(v, target);
+      plan.head_of[v] = target;
+      stable_.add_edge(v, target);
+    }
+
+    stable_.build_into(plan.stable);
+    HINET_ENSURE(plan.view.validate(plan.stable).empty(),
+                 "generated phase hierarchy invalid");
   }
 
   HiNetConfig cfg_;
@@ -423,6 +416,15 @@ class PhaseDriver {
   PhasePlan plan_;
   std::size_t phase_ = 0;
   HiNetTraceStats stats_;
+
+  // Buffers reused from phase to phase and round to round, so steady-state
+  // synthesis allocates nothing proportional to n.
+  const HierarchyView blank_view_;  ///< every node an unaffiliated member
+  std::vector<char> is_head_;
+  std::vector<char> is_gateway_;
+  std::vector<NodeId> pool_;
+  GraphBuilder stable_;  ///< the phase's backbone + member edges
+  GraphBuilder churn_;   ///< the round's ephemeral edges
 };
 
 HiNetTraceStats finalize_stats(const HiNetConfig& cfg, HiNetTraceStats stats,
@@ -497,7 +499,7 @@ class HiNetStreamCore {
       const std::size_t phase = frontier_ / cfg_.phase_length;
       while (driver_.phase() < phase) driver_.advance();
       Slot& slot = ring_[frontier_ % w];
-      slot.graph = driver_.realize_round();
+      driver_.realize_round(slot.graph);
       slot.view = driver_.view();
       ++frontier_;
     }
@@ -583,7 +585,7 @@ HiNetTrace make_hinet_trace(const HiNetConfig& cfg) {
   double member_round_sum = 0.0;
   for (std::size_t phase = 0;; ++phase) {
     for (std::size_t r = 0; r < cfg.phase_length; ++r) {
-      graphs.push_back(driver.realize_round());
+      driver.realize_round(graphs.emplace_back());
       views.push_back(driver.view());
       member_round_sum += static_cast<double>(driver.view().member_count());
     }

@@ -92,10 +92,9 @@ std::optional<Graph> stable_head_subgraph(DynamicNetwork& net,
     if (comp[h] != c0) return std::nullopt;
   }
   // Υ = the component containing the heads: drop edges outside it.
-  Graph upsilon(inter.node_count());
-  for (const Edge& e : inter.edges()) {
-    if (comp[e.u] == c0) upsilon.add_edge(e.u, e.v);
-  }
+  Graph upsilon;
+  GraphBuilder::filter_into(
+      inter, [&](NodeId u, NodeId) { return comp[u] == c0; }, upsilon);
   return upsilon;
 }
 

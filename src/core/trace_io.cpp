@@ -103,7 +103,7 @@ Ctvg parse_ctvg(std::istream& is) {
         fail(lineno, "expected 'round " + std::to_string(r) + "'");
       }
     }
-    Graph g(n);
+    GraphBuilder g(n);
     {
       std::istringstream el(next_line());
       std::string w;
@@ -174,7 +174,7 @@ Ctvg parse_ctvg(std::istream& is) {
         h.set_member(v, static_cast<ClusterId>(c), roles[v] == 'g');
       }
     }
-    graphs.push_back(std::move(g));
+    graphs.push_back(g.build());
     views.push_back(std::move(h));
   }
 

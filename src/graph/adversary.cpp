@@ -7,7 +7,7 @@ namespace hinet {
 
 namespace {
 
-void add_churn(Graph& g, std::size_t churn_edges, Rng& rng) {
+void add_churn(GraphBuilder& g, std::size_t churn_edges, Rng& rng) {
   const std::size_t n = g.node_count();
   if (n < 2) return;
   for (std::size_t e = 0; e < churn_edges; ++e) {
@@ -25,11 +25,11 @@ Graph make_backbone(std::size_t nodes, bool path_backbone, Rng& rng) {
     std::vector<NodeId> order(nodes);
     for (NodeId i = 0; i < nodes; ++i) order[i] = i;
     rng.shuffle(order);
-    Graph p(nodes);
+    GraphBuilder p(nodes);
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
       p.add_edge(order[i], order[i + 1]);
     }
-    return p;
+    return p.build();
   }
   return gen::random_tree(nodes, rng);
 }
@@ -82,8 +82,10 @@ Graph TIntervalNetwork::synthesize_next() {
     backbone_next_ = make_backbone(cfg_.nodes, path_backbone_, backbone_rng_);
     ++cur_window_;
   }
-  Graph g = Graph::union_of(backbone_cur_, backbone_next_);
-  add_churn(g, cfg_.churn_edges, churn_rng_);
+  GraphBuilder churn(node_count());
+  add_churn(churn, cfg_.churn_edges, churn_rng_);
+  Graph g;
+  churn.build_onto(Graph::union_of(backbone_cur_, backbone_next_), g);
   return g;
 }
 

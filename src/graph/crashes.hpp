@@ -1,4 +1,4 @@
-// Crash-fault injection at the trace level.
+// Crash-fault events at the trace level.
 //
 // A crashed node keeps existing (node sets are fixed in the paper's
 // models) but loses all of its links from the crash round onward — it can
@@ -6,6 +6,7 @@
 // every layer above (clustering maintenance, dissemination) oblivious,
 // which is exactly how a real deployment experiences a died node: the
 // neighbours just stop hearing it, and the hierarchy must repair itself.
+// FaultyNetwork (sim/faults.hpp) applies CrashEvents to any network.
 //
 // A crash may carry a recovery round, modelling the rejoin churn of
 // Remark 1: the node is down for [round, recovery) and regains its links
@@ -31,50 +32,8 @@ struct CrashEvent {
   bool down_at(Round r) const { return r >= round && r < recovery; }
 };
 
-/// Lazy crash decorator: wraps any DynamicNetwork and removes each
-/// crashed node's edges on the fly.  Rounds with no crash active are
-/// forwarded by reference (zero-cost); edited rounds are cached one at a
-/// time, so decorating a streaming base keeps the whole stack O(W·n)
-/// resident.  Checkpoint state (TraceStateSource) forwards to the base
-/// when the base is itself checkpointable — the decorator holds no
-/// evolving state of its own.
-class CrashedNetwork final : public DynamicNetwork, public TraceStateSource {
- public:
-  /// Borrowing mode: `base` must outlive the decorator.  Throws when an
-  /// event names a node out of range or recovers before it crashes.
-  CrashedNetwork(DynamicNetwork& base, std::vector<CrashEvent> crashes);
-
-  /// Owning mode: the decorator keeps the base network alive.
-  CrashedNetwork(std::unique_ptr<DynamicNetwork> base,
-                 std::vector<CrashEvent> crashes);
-
-  std::size_t node_count() const override { return base_->node_count(); }
-  const Graph& graph_at(Round r) override;
-
-  std::span<const CrashEvent> crashes() const { return crashes_; }
-
-  void save_trace_state(ByteWriter& w) const override;
-  void restore_trace_state(ByteReader& r) override;
-
- private:
-  void validate() const;
-
-  std::unique_ptr<DynamicNetwork> owned_;
-  DynamicNetwork* base_;
-  std::vector<CrashEvent> crashes_;
-
-  // Single-round cache: the engine (and materialize) walk rounds in order
-  // and hold each reference for the duration of one round.
-  bool cache_valid_ = false;
-  Round cache_round_ = 0;
-  Graph cache_;
-};
-
-/// Returns a copy of the first `rounds` rounds of `base` with every
-/// crashed node's edges removed while the node is down (the materialized
-/// special case of CrashedNetwork; same budget guard as materialize()).
-GraphSequence apply_crashes(DynamicNetwork& base, std::size_t rounds,
-                            std::span<const CrashEvent> crashes);
+/// True when any event has its node down at round r.
+bool any_down(std::span<const CrashEvent> crashes, Round r);
 
 /// Nodes up at round r under the crash plan (recovered nodes count as
 /// alive again).

@@ -114,24 +114,22 @@ Graph load_graph(ByteReader& r, std::size_t expected_nodes) {
   if (m > r.remaining() / 8) {
     throw IoError("serialized graph corrupt: edge count exceeds payload");
   }
-  Graph g(n);
+  GraphBuilder b(n);
   for (std::uint64_t i = 0; i < m; ++i) {
     const NodeId u = r.u32();
     const NodeId v = r.u32();
     if (u >= n || v >= n || u == v) {
       throw IoError("serialized graph corrupt: edge endpoint out of range");
     }
-    g.add_edge(u, v);
+    b.add_edge(u, v);
   }
-  return g;
+  return b.build();
 }
 
 std::size_t estimated_graph_bytes(std::size_t nodes, std::size_t edges) {
-  // Build view: one std::vector per node (3 pointers) plus 2 directed
-  // entries of 4 bytes per undirected edge; CSR mirror: (n+1) u32 offsets
-  // plus 2 u32 entries per edge; Graph object overhead rounded in.
-  return sizeof(Graph) + nodes * (sizeof(std::vector<NodeId>) + 4) +
-         edges * 16;
+  // CSR: (n+1) u32 offsets plus 2 u32 neighbour entries per undirected
+  // edge, and the Graph object itself.
+  return sizeof(Graph) + (nodes + 1) * 4 + edges * 8;
 }
 
 GraphSequence materialize(DynamicNetwork& net, std::size_t rounds,

@@ -12,78 +12,25 @@ Edge make_edge(NodeId a, NodeId b) {
   return a < b ? Edge{a, b} : Edge{b, a};
 }
 
-Graph::Graph(std::size_t n) : adj_(n) {}
+Graph::Graph(std::size_t n) : offsets_(n + 1, 0) {}
 
-Graph::Graph(std::size_t n, const std::vector<Edge>& edges) : adj_(n) {
-  for (const Edge& e : edges) add_edge(e.u, e.v);
-}
-
-void Graph::check_node(NodeId v) const {
-  HINET_REQUIRE(v < adj_.size(), "node id out of range");
-}
-
-bool Graph::add_edge(NodeId a, NodeId b) {
-  check_node(a);
-  check_node(b);
-  HINET_REQUIRE(a != b, "self-loop");
-  auto& na = adj_[a];
-  auto it = std::lower_bound(na.begin(), na.end(), b);
-  if (it != na.end() && *it == b) return false;
-  na.insert(it, b);
-  auto& nb = adj_[b];
-  nb.insert(std::lower_bound(nb.begin(), nb.end(), a), a);
-  ++edge_count_;
-  csr_valid_ = false;
-  return true;
-}
-
-bool Graph::remove_edge(NodeId a, NodeId b) {
-  check_node(a);
-  check_node(b);
-  auto& na = adj_[a];
-  auto it = std::lower_bound(na.begin(), na.end(), b);
-  if (it == na.end() || *it != b) return false;
-  na.erase(it);
-  auto& nb = adj_[b];
-  nb.erase(std::lower_bound(nb.begin(), nb.end(), a));
-  --edge_count_;
-  csr_valid_ = false;
-  return true;
-}
-
-void Graph::ensure_csr() const {
-  if (csr_valid_) return;
-  csr_offsets_.resize(adj_.size() + 1);
-  csr_neighbors_.resize(2 * edge_count_);
-  std::uint32_t cursor = 0;
-  for (std::size_t v = 0; v < adj_.size(); ++v) {
-    csr_offsets_[v] = cursor;
-    std::copy(adj_[v].begin(), adj_[v].end(), csr_neighbors_.begin() + cursor);
-    cursor += static_cast<std::uint32_t>(adj_[v].size());
-  }
-  csr_offsets_[adj_.size()] = cursor;
-  csr_valid_ = true;
+Graph::Graph(std::size_t n, const std::vector<Edge>& edges) {
+  GraphBuilder b(n);
+  for (const Edge& e : edges) b.add_edge(e.u, e.v);
+  b.build_into(*this);
 }
 
 bool Graph::has_edge(NodeId a, NodeId b) const {
-  check_node(a);
   check_node(b);
-  const auto& na = adj_[a];
-  return std::binary_search(na.begin(), na.end(), b);
-}
-
-std::span<const NodeId> Graph::neighbors(NodeId v) const {
-  check_node(v);
-  ensure_csr();
-  return std::span<const NodeId>(csr_neighbors_.data() + csr_offsets_[v],
-                                 csr_offsets_[v + 1] - csr_offsets_[v]);
+  const auto row = neighbors(a);
+  return std::binary_search(row.begin(), row.end(), b);
 }
 
 std::vector<Edge> Graph::edges() const {
   std::vector<Edge> out;
-  out.reserve(edge_count_);
-  for (NodeId u = 0; u < adj_.size(); ++u) {
-    for (NodeId v : adj_[u]) {
+  out.reserve(edge_count());
+  for (NodeId u = 0; u < node_count(); ++u) {
+    for (NodeId v : neighbors(u)) {
       if (u < v) out.push_back({u, v});
     }
   }
@@ -92,8 +39,7 @@ std::vector<Edge> Graph::edges() const {
 
 std::vector<int> Graph::distances_from(NodeId source) const {
   check_node(source);
-  ensure_csr();
-  std::vector<int> dist(adj_.size(), -1);
+  std::vector<int> dist(node_count(), -1);
   std::queue<NodeId> q;
   dist[source] = 0;
   q.push(source);
@@ -116,14 +62,14 @@ int Graph::distance(NodeId a, NodeId b) const {
 }
 
 bool Graph::is_connected() const {
-  if (adj_.size() <= 1) return true;
+  if (node_count() <= 1) return true;
   const auto dist = distances_from(0);
   return std::all_of(dist.begin(), dist.end(), [](int d) { return d >= 0; });
 }
 
 bool Graph::is_connected_subset(std::span<const NodeId> subset) const {
   if (subset.size() <= 1) return true;
-  std::vector<char> allowed(adj_.size(), 0);
+  std::vector<char> allowed(node_count(), 0);
   for (NodeId v : subset) {
     check_node(v);
     allowed[v] = 1;
@@ -134,12 +80,11 @@ bool Graph::is_connected_subset(std::span<const NodeId> subset) const {
 }
 
 std::vector<std::uint32_t> Graph::components() const {
-  ensure_csr();
-  std::vector<std::uint32_t> label(adj_.size(),
+  std::vector<std::uint32_t> label(node_count(),
                                    std::numeric_limits<std::uint32_t>::max());
   std::uint32_t next = 0;
   std::queue<NodeId> q;
-  for (NodeId s = 0; s < adj_.size(); ++s) {
+  for (NodeId s = 0; s < node_count(); ++s) {
     if (label[s] != std::numeric_limits<std::uint32_t>::max()) continue;
     label[s] = next;
     q.push(s);
@@ -159,9 +104,9 @@ std::vector<std::uint32_t> Graph::components() const {
 }
 
 int Graph::diameter() const {
-  if (adj_.empty()) return 0;
+  if (node_count() == 0) return 0;
   int best = 0;
-  for (NodeId s = 0; s < adj_.size(); ++s) {
+  for (NodeId s = 0; s < node_count(); ++s) {
     const auto dist = distances_from(s);
     for (int d : dist) {
       if (d < 0) return -1;
@@ -171,36 +116,50 @@ int Graph::diameter() const {
   return best;
 }
 
-Graph Graph::intersection(const Graph& a, const Graph& b) {
+void Graph::merge_rows(const Graph& a, const Graph& b, bool intersect,
+                       Graph& out) {
   HINET_REQUIRE(a.node_count() == b.node_count(),
-                "intersection of graphs with different node counts");
-  Graph out(a.node_count());
-  for (NodeId u = 0; u < a.adj_.size(); ++u) {
-    for (NodeId v : a.adj_[u]) {
-      if (u < v && b.has_edge(u, v)) out.add_edge(u, v);
-    }
+                "set algebra over graphs with different node counts");
+  HINET_REQUIRE(&out != &a && &out != &b, "merge_rows cannot write over input");
+  const std::size_t n = a.node_count();
+  out.offsets_.resize(n + 1);
+  out.neighbors_.resize(a.neighbors_.size() + b.neighbors_.size());
+  const auto begin = out.neighbors_.begin();
+  auto write = begin;
+  for (NodeId u = 0; u < n; ++u) {
+    out.offsets_[u] = static_cast<std::uint32_t>(write - begin);
+    const auto ra = a.neighbors(u);
+    const auto rb = b.neighbors(u);
+    write = intersect ? std::set_intersection(ra.begin(), ra.end(), rb.begin(),
+                                              rb.end(), write)
+                      : std::set_union(ra.begin(), ra.end(), rb.begin(),
+                                       rb.end(), write);
   }
+  out.neighbors_.resize(static_cast<std::size_t>(write - begin));
+  out.offsets_[n] = static_cast<std::uint32_t>(out.neighbors_.size());
+}
+
+Graph Graph::intersection(const Graph& a, const Graph& b) {
+  Graph out;
+  merge_rows(a, b, /*intersect=*/true, out);
   return out;
 }
 
 Graph Graph::union_of(const Graph& a, const Graph& b) {
-  HINET_REQUIRE(a.node_count() == b.node_count(),
-                "union of graphs with different node counts");
-  Graph out = a;
-  for (NodeId u = 0; u < b.adj_.size(); ++u) {
-    for (NodeId v : b.adj_[u]) {
-      if (u < v) out.add_edge(u, v);
-    }
-  }
+  Graph out;
+  merge_rows(a, b, /*intersect=*/false, out);
   return out;
 }
 
 bool Graph::contains_subgraph(const Graph& sub) const {
   HINET_REQUIRE(node_count() == sub.node_count(),
                 "subgraph test over different node counts");
-  for (NodeId u = 0; u < sub.adj_.size(); ++u) {
-    for (NodeId v : sub.adj_[u]) {
-      if (u < v && !has_edge(u, v)) return false;
+  for (NodeId u = 0; u < node_count(); ++u) {
+    const auto row = neighbors(u);
+    const auto sub_row = sub.neighbors(u);
+    if (!std::includes(row.begin(), row.end(), sub_row.begin(),
+                       sub_row.end())) {
+      return false;
     }
   }
   return true;
@@ -209,12 +168,62 @@ bool Graph::contains_subgraph(const Graph& sub) const {
 std::string Graph::to_string() const {
   std::ostringstream os;
   os << "Graph(n=" << node_count() << ", m=" << edge_count() << ")\n";
-  for (NodeId u = 0; u < adj_.size(); ++u) {
+  for (NodeId u = 0; u < node_count(); ++u) {
     os << "  " << u << ":";
-    for (NodeId v : adj_[u]) os << ' ' << v;
+    for (NodeId v : neighbors(u)) os << ' ' << v;
     os << '\n';
   }
   return os.str();
+}
+
+void GraphBuilder::add_edge(NodeId a, NodeId b) {
+  HINET_REQUIRE(a < n_ && b < n_, "node id out of range");
+  edges_.push_back(make_edge(a, b));
+}
+
+Graph GraphBuilder::build() {
+  Graph out;
+  build_into(out);
+  return out;
+}
+
+void GraphBuilder::build_into(Graph& out) {
+  // Counting sort: count degrees, carve rows with a prefix sum, scatter both
+  // directions of every edge into its rows, then sort each row and squeeze
+  // duplicates out in place.  Most rows in sparse traces hold one or two
+  // entries, so the row sorts are nearly free.
+  auto& off = out.offsets_;
+  off.assign(n_ + 1, 0);
+  for (const Edge& e : edges_) {
+    ++off[e.u + 1];
+    ++off[e.v + 1];
+  }
+  for (std::size_t v = 0; v < n_; ++v) off[v + 1] += off[v];
+  auto& nb = out.neighbors_;
+  nb.resize(2 * edges_.size());
+  cursor_.assign(off.begin(), off.end() - 1);
+  for (const Edge& e : edges_) {
+    nb[cursor_[e.u]++] = e.v;
+    nb[cursor_[e.v]++] = e.u;
+  }
+  std::uint32_t write = 0;
+  for (std::size_t v = 0; v < n_; ++v) {
+    const auto begin = nb.begin() + off[v];
+    const auto end = nb.begin() + off[v + 1];
+    off[v] = write;
+    if (end - begin > 1) std::sort(begin, end);
+    for (auto it = begin; it != end; ++it) {
+      if (it == begin || *it != it[-1]) nb[write++] = *it;
+    }
+  }
+  off[n_] = write;
+  nb.resize(write);
+}
+
+void GraphBuilder::build_onto(const Graph& base, Graph& out) {
+  HINET_REQUIRE(base.node_count() == n_, "builder and base disagree on n");
+  build_into(extra_);
+  Graph::merge_rows(base, extra_, /*intersect=*/false, out);
 }
 
 std::vector<int> restricted_distances(const Graph& g, NodeId source,

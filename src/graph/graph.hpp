@@ -3,21 +3,17 @@
 // and per-round set algebra (intersection/union) used by the T-interval
 // connectivity checker.
 //
-// Representation: two views of the same edge set.
-//   - Build view: per-node sorted adjacency vectors, the mutation target of
-//     add_edge/remove_edge and the haystack of has_edge binary searches.
-//   - CSR view (flat offsets + one contiguous neighbour array): the primary
-//     access path.  neighbors() returns a span into the flat array, so the
-//     engine's delivery loop and every BFS walk contiguous memory.
-// The CSR is rebuilt lazily (O(n + m)) on the first query after a
-// mutation.  The rebuild mutates `mutable` cache members, so a freshly
-// mutated Graph must not be queried concurrently from several threads;
-// graphs are per-run-owned everywhere in this codebase (SimulationSpec
-// owns its trace), which makes that a non-constraint in practice.
+// Representation: one immutable CSR — n+1 offsets and one contiguous array
+// of neighbour rows, each row sorted ascending.  neighbors() is a span into
+// that array, degree() an offset difference and has_edge() a binary search
+// in one row, so the engine's delivery loop and every BFS walk contiguous
+// memory.  Const queries touch no hidden state, so a Graph may be read from
+// several threads at once.
 //
-// Graphs here are small (tens to low thousands of nodes) but queried
-// millions of times per experiment: membership tests are binary searches,
-// neighbour iteration is O(deg) over contiguous storage.
+// Graphs are built by a GraphBuilder (below): edges are collected in a
+// flat list and frozen into CSR by a counting sort.  A builder reuses its
+// buffers, and can write into an existing Graph's storage, so per-round
+// synthesis rebuilds a round's graph without allocating.
 #pragma once
 
 #include <cstdint>
@@ -52,31 +48,27 @@ class Graph {
   /// Creates an edgeless graph on n nodes.
   explicit Graph(std::size_t n);
 
-  /// Creates a graph from an edge list (duplicates are ignored).
+  /// Creates a graph from an edge list (duplicates are ignored; self-loops
+  /// and out-of-range ids are rejected).
   Graph(std::size_t n, const std::vector<Edge>& edges);
 
-  std::size_t node_count() const { return adj_.size(); }
-  std::size_t edge_count() const { return edge_count_; }
+  std::size_t node_count() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  std::size_t edge_count() const { return neighbors_.size() / 2; }
 
-  /// Adds an undirected edge; self-loops are rejected.  Returns true when
-  /// the edge was new.
-  bool add_edge(NodeId a, NodeId b);
-
-  /// Removes an edge; returns true when it was present.
-  bool remove_edge(NodeId a, NodeId b);
-
-  /// Membership test (binary search in the build view; kept for tests,
-  /// checkers and set algebra — the hot delivery path iterates CSR
-  /// neighbour spans instead).
+  /// Membership test: binary search in a's neighbour row.
   bool has_edge(NodeId a, NodeId b) const;
 
-  /// Sorted neighbour list of v as a span into the flat CSR neighbour
-  /// array.  Invalidated by any mutation of the graph.
-  std::span<const NodeId> neighbors(NodeId v) const;
+  /// Sorted neighbour list of v as a span into the flat neighbour array.
+  std::span<const NodeId> neighbors(NodeId v) const {
+    check_node(v);
+    return {neighbors_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
+  }
 
   std::size_t degree(NodeId v) const {
     check_node(v);
-    return adj_[v].size();
+    return offsets_[v + 1] - offsets_[v];
   }
 
   /// All edges with u < v, sorted lexicographically.
@@ -116,22 +108,83 @@ class Graph {
   std::string to_string() const;
 
   friend bool operator==(const Graph& a, const Graph& b) {
-    return a.adj_ == b.adj_;
+    return a.node_count() == b.node_count() && a.neighbors_ == b.neighbors_ &&
+           (a.node_count() == 0 || a.offsets_ == b.offsets_);
   }
 
  private:
-  void check_node(NodeId v) const;
-  void ensure_csr() const;
+  friend class GraphBuilder;
 
-  std::vector<std::vector<NodeId>> adj_;
-  std::size_t edge_count_ = 0;
+  void check_node(NodeId v) const {
+    HINET_REQUIRE(v < node_count(), "node id out of range");
+  }
 
-  // CSR mirror of adj_: neighbours of v live at
-  // csr_neighbors_[csr_offsets_[v] .. csr_offsets_[v+1]), sorted.  Rebuilt
-  // lazily after mutations; mutable so const queries can refresh it.
-  mutable std::vector<std::uint32_t> csr_offsets_;
-  mutable std::vector<NodeId> csr_neighbors_;
-  mutable bool csr_valid_ = false;
+  /// Row-wise union or intersection of a and b written into out's storage
+  /// (out must be neither a nor b).
+  static void merge_rows(const Graph& a, const Graph& b, bool intersect,
+                         Graph& out);
+
+  // Neighbours of v live at neighbors_[offsets_[v] .. offsets_[v+1]),
+  // sorted ascending.  A default-constructed graph has no offsets at all.
+  std::vector<std::uint32_t> offsets_;
+  std::vector<NodeId> neighbors_;
+};
+
+/// Collects undirected edges and freezes them into a Graph.  Duplicate
+/// edges (in either orientation) are ignored; self-loops and out-of-range
+/// ids are rejected by add_edge.  Every buffer keeps its capacity across
+/// reset(), and the build_* calls can write into an existing Graph, so a
+/// builder that is reused round after round stops allocating once its
+/// buffers have grown.
+class GraphBuilder {
+ public:
+  explicit GraphBuilder(std::size_t n = 0) : n_(n) {}
+
+  /// Drops the collected edges and starts over on n nodes.
+  void reset(std::size_t n) {
+    n_ = n;
+    edges_.clear();
+  }
+
+  std::size_t node_count() const { return n_; }
+
+  void add_edge(NodeId a, NodeId b);
+
+  /// The collected edges as a new graph.
+  Graph build();
+
+  /// The collected edges, written into out's storage.
+  void build_into(Graph& out);
+
+  /// base plus the collected edges, written into out's storage (out must
+  /// not be base): rows are merged, not re-sorted.
+  void build_onto(const Graph& base, Graph& out);
+
+  /// The edges (u, v) of base with keep(u, v) true, written into out's
+  /// storage (out must not be base).  keep is called once per direction
+  /// and must be symmetric.
+  template <typename Keep>
+  static void filter_into(const Graph& base, Keep keep, Graph& out) {
+    HINET_REQUIRE(&base != &out, "filter_into cannot write over its input");
+    const std::size_t n = base.node_count();
+    out.offsets_.resize(n + 1);
+    out.neighbors_.resize(base.neighbors_.size());
+    std::uint32_t write = 0;
+    for (NodeId u = 0; u < n; ++u) {
+      out.offsets_[u] = write;
+      for (NodeId v : base.neighbors(u)) {
+        if (keep(u, v)) out.neighbors_[write++] = v;
+      }
+    }
+    out.offsets_[n] = write;
+    out.neighbors_.resize(write);
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<Edge> edges_;           ///< as added, canonical u < v
+  std::vector<std::uint32_t> cursor_; ///< per-row write positions
+  Graph extra_;                       ///< build_onto's collected edges
 };
 
 /// BFS distances from `source` restricted to the subgraph induced by

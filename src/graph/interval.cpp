@@ -60,11 +60,11 @@ void IntervalRunTracker::push(const Graph& g) {
 Graph IntervalRunTracker::threshold_subgraph(std::size_t t) const {
   HINET_REQUIRE(t >= 1, "window must span at least one round");
   HINET_REQUIRE(t <= rounds_seen_, "window longer than the rounds seen");
-  Graph g(n_);
+  GraphBuilder g(n_);
   for (const auto& [e, run] : runs_) {
     if (run >= t) g.add_edge(e.u, e.v);
   }
-  return g;
+  return g.build();
 }
 
 std::size_t IntervalRunTracker::max_connected_window() const {

@@ -21,7 +21,7 @@ void EdgeMarkovianNetwork::reset_generator() {
 
 Graph EdgeMarkovianNetwork::synthesize_next() {
   const std::size_t n = cfg_.nodes;
-  Graph next(n);
+  GraphBuilder next(n);
   if (frontier() == 0) {
     for (NodeId i = 0; i < n; ++i) {
       for (NodeId j = i + 1; j < n; ++j) {
@@ -38,8 +38,8 @@ Graph EdgeMarkovianNetwork::synthesize_next() {
       }
     }
   }
-  prev_ = next;
-  return next;
+  prev_ = next.build();
+  return prev_;
 }
 
 void EdgeMarkovianNetwork::save_generator_state(ByteWriter& w) const {

@@ -70,7 +70,7 @@ std::vector<PresenceInterval> Tvg::presence_of(NodeId a, NodeId b) const {
 }
 
 Graph Tvg::snapshot(Round t) const {
-  Graph g(n_);
+  GraphBuilder g(n_);
   for (const auto& [edge, ivals] : presence_) {
     for (const auto& iv : ivals) {
       if (iv.contains(t)) {
@@ -79,7 +79,7 @@ Graph Tvg::snapshot(Round t) const {
       }
     }
   }
-  return g;
+  return g.build();
 }
 
 GraphSequence Tvg::to_sequence() const {

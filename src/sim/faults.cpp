@@ -8,9 +8,7 @@
 namespace hinet {
 
 bool FaultPlan::active_at(Round r) const {
-  for (const CrashEvent& c : crashes) {
-    if (c.down_at(r)) return true;
-  }
+  if (any_down(crashes, r)) return true;
   for (const PartitionEvent& p : partitions) {
     if (p.active_at(r)) return true;
   }
@@ -89,39 +87,50 @@ const Graph& FaultyNetwork::graph_at(Round r) {
   // Fault-free rounds (in particular: every round of an empty plan) forward
   // the base graph by reference — the decorator is zero-cost when unused.
   if (!plan_.active_at(r)) return base_->graph_at(r);
-  if (cache_valid_ && cache_round_ == r) return cache_;
+  const CachedRound& slot = cache_[r % cache_.size()];
+  if (slot.valid && slot.round == r) return slot.graph;
   return rebuild(r);
 }
 
 const Graph& FaultyNetwork::rebuild(Round r) {
-  Graph g = base_->graph_at(r);
+  const Graph& base = base_->graph_at(r);
+  const std::size_t n = base.node_count();
+  down_.assign(n, 0);
   for (const CrashEvent& c : plan_.crashes) {
-    if (!c.down_at(r)) continue;
-    const auto neigh = g.neighbors(c.node);
-    // Copy the neighbour list: remove_edge mutates it during iteration.
-    const std::vector<NodeId> copy(neigh.begin(), neigh.end());
-    for (NodeId u : copy) g.remove_edge(c.node, u);
+    if (c.down_at(r)) down_[c.node] = 1;
   }
+  // An edge crosses a partition when exactly one endpoint is in its group.
+  std::size_t partitions = 0;
   for (const PartitionEvent& p : plan_.partitions) {
     if (!p.active_at(r)) continue;
-    std::vector<char> inside(g.node_count(), 0);
-    for (NodeId v : p.group) inside[v] = 1;
-    for (NodeId v : p.group) {
-      const auto neigh = g.neighbors(v);
-      const std::vector<NodeId> copy(neigh.begin(), neigh.end());
-      for (NodeId u : copy) {
-        if (!inside[u]) g.remove_edge(v, u);
-      }
-    }
+    if (inside_.size() == partitions) inside_.emplace_back();
+    inside_[partitions].assign(n, 0);
+    for (NodeId v : p.group) inside_[partitions][v] = 1;
+    ++partitions;
   }
+  cut_links_.clear();
   for (const LinkBurst& b : plan_.bursts) {
     if (!b.active_at(r)) continue;
-    for (const Edge& e : b.links) g.remove_edge(e.u, e.v);
+    for (const Edge& e : b.links) {
+      cut_links_.push_back({std::min(e.u, e.v), std::max(e.u, e.v)});
+    }
   }
-  cache_ = std::move(g);
-  cache_round_ = r;
-  cache_valid_ = true;
-  return cache_;
+  std::sort(cut_links_.begin(), cut_links_.end());
+
+  const auto keep = [&](NodeId u, NodeId v) {
+    if (down_[u] != 0 || down_[v] != 0) return false;
+    for (std::size_t i = 0; i < partitions; ++i) {
+      if (inside_[i][u] != inside_[i][v]) return false;
+    }
+    return cut_links_.empty() ||
+           !std::binary_search(cut_links_.begin(), cut_links_.end(),
+                               Edge{std::min(u, v), std::max(u, v)});
+  };
+  CachedRound& slot = cache_[r % cache_.size()];
+  GraphBuilder::filter_into(base, keep, slot.graph);
+  slot.round = r;
+  slot.valid = true;
+  return slot.graph;
 }
 
 void FaultyNetwork::save_trace_state(ByteWriter& w) const {
@@ -141,7 +150,7 @@ void FaultyNetwork::restore_trace_state(ByteReader& r) {
         "checkpoint capability differs from the snapshot's");
   }
   if (src != nullptr) src->restore_trace_state(r);
-  cache_valid_ = false;
+  for (CachedRound& slot : cache_) slot.valid = false;
 }
 
 }  // namespace hinet

@@ -11,8 +11,9 @@
 //
 // FaultyNetwork applies a plan as a *decorator*: it wraps any
 // DynamicNetwork — precomputed trace, lazy generator, even another
-// FaultyNetwork — and edits each round's graph on the fly.  No trace is
-// copied up front; rounds in which no fault is active are forwarded by
+// FaultyNetwork — and masks each round's graph on the fly: one pass over
+// the base round's CSR rows keeps the edges no active fault cuts, writing
+// into reused buffers.  Rounds in which no fault is active are forwarded by
 // reference, so an empty plan (and every pre-fault round) is zero-cost and
 // byte-identical to the undecorated network.
 //
@@ -29,6 +30,7 @@
 // construction data and needs no serialization).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -95,7 +97,7 @@ FaultPlan random_churn_plan(std::size_t node_count, std::size_t crash_count,
 
 /// Applies a FaultPlan to a base network on the fly.  Composable with
 /// every generator (anything implementing DynamicNetwork) and with other
-/// FaultyNetworks; copies a round's graph only when a fault is active in
+/// FaultyNetworks; builds a masked graph only when a fault is active in
 /// that round.
 class FaultyNetwork final : public DynamicNetwork, public TraceStateSource {
  public:
@@ -123,11 +125,20 @@ class FaultyNetwork final : public DynamicNetwork, public TraceStateSource {
   DynamicNetwork* base_;
   FaultPlan plan_;
 
-  // Single-round cache: the engine (and materialize) walk rounds in order
-  // and hold each reference for the duration of one round.
-  bool cache_valid_ = false;
-  Round cache_round_ = 0;
-  Graph cache_;
+  // Two-round cache, one slot per round parity: a reference to masked
+  // round r stays valid while round r+1 is built, the same guarantee a
+  // StreamingNetwork's default window of 2 gives.
+  struct CachedRound {
+    bool valid = false;
+    Round round = 0;
+    Graph graph;
+  };
+  std::array<CachedRound, 2> cache_;
+
+  // Per-round mask scratch, reused across rebuilds.
+  std::vector<char> down_;                 ///< node crashed this round
+  std::vector<std::vector<char>> inside_;  ///< per active partition: in group
+  std::vector<Edge> cut_links_;            ///< active burst links, sorted
 };
 
 }  // namespace hinet

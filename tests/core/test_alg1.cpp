@@ -18,9 +18,9 @@ struct StarWorld {
 
   explicit StarWorld(std::size_t n)
       : net([n] {
-          Graph g(n);
+          GraphBuilder g(n);
           for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-          return g;
+          return g.build();
         }()),
         hier([n] {
           HierarchyView h(n);

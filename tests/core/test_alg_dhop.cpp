@@ -109,8 +109,9 @@ TEST(DhopDissemination, PeriodicRebroadcastHealsLoss) {
   std::vector<Graph> graphs;
   std::vector<HierarchyView> views;
   for (Round r = 0; r < rounds; ++r) {
-    Graph g(n, {{0, 1}, {2, 3}});
-    if (r >= 6) g.add_edge(0, 2);
+    std::vector<Edge> edges{{0, 1}, {2, 3}};
+    if (r >= 6) edges.push_back({0, 2});
+    Graph g(n, edges);
     HierarchyView h(n);
     h.set_head(0);
     h.set_member(1, 0);

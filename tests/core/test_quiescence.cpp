@@ -62,8 +62,9 @@ TEST(Alg2Quiescence, NodesWakeUpWhenNewTokensArrive) {
   std::vector<Graph> graphs;
   std::vector<HierarchyView> views;
   for (Round r = 0; r < 30; ++r) {
-    Graph g(n, {{0, 1}, {0, 2}, {3, 4}, {3, 5}});
-    if (r >= 10) g.add_edge(2, 5);  // bridge appears late
+    std::vector<Edge> edges{{0, 1}, {0, 2}, {3, 4}, {3, 5}};
+    if (r >= 10) edges.push_back({2, 5});  // bridge appears late
+    Graph g(n, edges);
     HierarchyView h(n);
     h.set_head(0);
     h.set_head(3);
@@ -100,8 +101,9 @@ TEST(Alg2Quiescence, NodesWakeUpWhenNewTokensArrive) {
   std::vector<Graph> graphs2;
   std::vector<HierarchyView> views2;
   for (Round r = 0; r < 30; ++r) {
-    Graph g(n, {{0, 1}, {0, 2}, {3, 4}, {3, 5}});
-    if (r >= 10) g.add_edge(2, 5);
+    std::vector<Edge> edges{{0, 1}, {0, 2}, {3, 4}, {3, 5}};
+    if (r >= 10) edges.push_back({2, 5});
+    Graph g(n, edges);
     HierarchyView h(n);
     h.set_head(0);
     h.set_head(3);

@@ -277,9 +277,11 @@ TEST(RobustIntegration, HeadCrashIsRepairedAndSurvivorsComplete) {
   constexpr std::size_t n = 6;
   constexpr std::size_t rounds = 64;
   StaticNetwork base([&] {
-    Graph g = gen::star(n);
-    for (NodeId v = 1; v < n - 1; ++v) g.add_edge(v, v + 1);
-    g.add_edge(n - 1, 1);
+    GraphBuilder ring(n);
+    for (NodeId v = 1; v < n - 1; ++v) ring.add_edge(v, v + 1);
+    ring.add_edge(n - 1, 1);
+    Graph g;
+    ring.build_onto(gen::star(n), g);
     return g;
   }());
 

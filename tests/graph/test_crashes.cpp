@@ -1,4 +1,5 @@
-// Crash-fault injection and hierarchy self-repair.
+// Crash-fault injection and hierarchy self-repair, through a crash-only
+// FaultPlan applied by FaultyNetwork.
 #include "graph/crashes.hpp"
 
 #include <gtest/gtest.h>
@@ -9,14 +10,24 @@
 #include "core/alg2.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults.hpp"
 
 namespace hinet {
 namespace {
 
+/// The first `rounds` rounds of `base` with the crash plan applied.
+GraphSequence crash_trace(DynamicNetwork& base, std::size_t rounds,
+                          std::span<const CrashEvent> crashes) {
+  FaultPlan plan;
+  plan.crashes.assign(crashes.begin(), crashes.end());
+  FaultyNetwork faulty(base, std::move(plan));
+  return materialize(faulty, rounds);
+}
+
 TEST(Crashes, EdgesRemovedFromCrashRoundOn) {
   StaticNetwork base(gen::complete(4));
   const CrashEvent plan[] = {{1, 2}};
-  GraphSequence seq = apply_crashes(base, 5, plan);
+  GraphSequence seq = crash_trace(base, 5, plan);
   for (Round r = 0; r < 2; ++r) {
     EXPECT_EQ(seq.graph_at(r).degree(1), 3u) << "round " << r;
   }
@@ -30,7 +41,7 @@ TEST(Crashes, EdgesRemovedFromCrashRoundOn) {
 TEST(Crashes, MultipleCrashesAccumulate) {
   StaticNetwork base(gen::complete(5));
   const CrashEvent plan[] = {{0, 1}, {4, 3}};
-  GraphSequence seq = apply_crashes(base, 5, plan);
+  GraphSequence seq = crash_trace(base, 5, plan);
   EXPECT_EQ(seq.graph_at(0).edge_count(), 10u);
   EXPECT_EQ(seq.graph_at(1).edge_count(), 6u);  // minus node 0's 4 edges
   EXPECT_EQ(seq.graph_at(3).edge_count(), 3u);  // minus node 4's remaining 3
@@ -41,7 +52,7 @@ TEST(Crashes, RecoveryRestoresEdges) {
   // full degree again from the recovery round on.
   StaticNetwork base(gen::complete(4));
   const CrashEvent plan[] = {{1, 2, 5}};
-  GraphSequence seq = apply_crashes(base, 8, plan);
+  GraphSequence seq = crash_trace(base, 8, plan);
   for (Round r = 0; r < 2; ++r) {
     EXPECT_EQ(seq.graph_at(r).degree(1), 3u) << "round " << r;
   }
@@ -73,20 +84,16 @@ TEST(Crashes, AliveNodesSeesRecovery) {
 TEST(Crashes, RecoveryNotAfterCrashRejected) {
   StaticNetwork base(gen::complete(3));
   const CrashEvent plan[] = {{1, 4, 4}};  // empty window: surely a typo
-  EXPECT_THROW(apply_crashes(base, 6, plan), PreconditionError);
+  EXPECT_THROW(crash_trace(base, 6, plan), PreconditionError);
 }
 
 TEST(Crashes, RecoveredRelayResumesForwarding) {
   // A 4-node path 0-1-2-3; relay 1 sleeps for rounds [1, 6).  Token 0
   // starts at node 0 and can only cross through node 1, so nodes 2 and 3
   // learn it only after the recovery.
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  StaticNetwork base(g);
+  StaticNetwork base(gen::path(4));
   const CrashEvent plan[] = {{1, 1, 6}};
-  GraphSequence seq = apply_crashes(base, 12, plan);
+  GraphSequence seq = crash_trace(base, 12, plan);
 
   std::vector<TokenSet> init(4, TokenSet(1));
   init[0].insert(0);
@@ -108,7 +115,7 @@ TEST(Crashes, RecoveredRelayResumesForwarding) {
 TEST(Crashes, OutOfRangeNodeRejected) {
   StaticNetwork base(Graph(3));
   const CrashEvent plan[] = {{7, 0}};
-  EXPECT_THROW(apply_crashes(base, 2, plan), PreconditionError);
+  EXPECT_THROW(crash_trace(base, 2, plan), PreconditionError);
 }
 
 TEST(Crashes, AliveNodesTracksPlan) {
@@ -122,14 +129,16 @@ TEST(Crashes, MaintenanceRepairsAfterHeadCrash) {
   // Star with hub 0 as head; hub crashes at round 3: every member must
   // re-affiliate or self-promote, and the hierarchy stays valid.
   StaticNetwork base([&] {
-    Graph g = gen::star(6);
     // Ring among the leaves so survivors stay connected after the crash.
-    for (NodeId v = 1; v < 5; ++v) g.add_edge(v, v + 1);
-    g.add_edge(5, 1);
+    GraphBuilder ring(6);
+    for (NodeId v = 1; v < 5; ++v) ring.add_edge(v, v + 1);
+    ring.add_edge(5, 1);
+    Graph g;
+    ring.build_onto(gen::star(6), g);
     return g;
   }());
   const CrashEvent plan[] = {{0, 3}};
-  GraphSequence seq = apply_crashes(base, 10, plan);
+  GraphSequence seq = crash_trace(base, 10, plan);
 
   ClusterMaintainer maint(seq.graph_at(0));
   ASSERT_TRUE(maint.view().is_head(0));
@@ -150,7 +159,7 @@ TEST(Crashes, SurvivorsStillDisseminateSurvivingTokens) {
   Graph g = gen::ring(8);
   StaticNetwork base(g);
   const CrashEvent plan[] = {{2, 3}};
-  GraphSequence seq = apply_crashes(base, 30, plan);
+  GraphSequence seq = crash_trace(base, 30, plan);
 
   std::vector<TokenSet> init(8, TokenSet(2));
   init[0].insert(0);
@@ -173,7 +182,7 @@ TEST(Crashes, SoleHolderCrashLosesTheToken) {
   // Node 3 holds token 0 and dies at round 0: nobody can ever learn it.
   StaticNetwork base(gen::complete(5));
   const CrashEvent plan[] = {{3, 0}};
-  GraphSequence seq = apply_crashes(base, 10, plan);
+  GraphSequence seq = crash_trace(base, 10, plan);
   std::vector<TokenSet> init(5, TokenSet(1));
   init[3].insert(0);
   KloFloodParams p;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/rng.hpp"
 
 namespace hinet {
@@ -22,34 +24,40 @@ TEST(Graph, EmptyGraph) {
   EXPECT_EQ(g.diameter(), 0);
 }
 
-TEST(Graph, AddRemoveEdges) {
-  Graph g(4);
-  EXPECT_TRUE(g.add_edge(0, 1));
-  EXPECT_FALSE(g.add_edge(1, 0));  // duplicate, either orientation
+TEST(GraphBuilder, DuplicateEdgesIgnored) {
+  GraphBuilder b(4);
+  b.add_edge(0, 1);
+  b.add_edge(1, 0);  // duplicate, either orientation
+  b.add_edge(0, 1);
+  const Graph g = b.build();
   EXPECT_EQ(g.edge_count(), 1u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
-  EXPECT_TRUE(g.remove_edge(0, 1));
-  EXPECT_FALSE(g.remove_edge(0, 1));
-  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.degree(0), 1u);
+  EXPECT_EQ(g.degree(1), 1u);
+  EXPECT_EQ(Graph(4, {{0, 1}, {1, 0}}), g);
 }
 
 TEST(Graph, SelfLoopRejected) {
-  Graph g(3);
-  EXPECT_THROW(g.add_edge(1, 1), PreconditionError);
+  GraphBuilder b(3);
+  EXPECT_THROW(b.add_edge(1, 1), PreconditionError);
+  EXPECT_THROW(Graph(3, {{2, 2}}), PreconditionError);
 }
 
 TEST(Graph, OutOfRangeRejected) {
+  GraphBuilder b(3);
+  EXPECT_THROW(b.add_edge(0, 3), PreconditionError);
   Graph g(3);
-  EXPECT_THROW(g.add_edge(0, 3), PreconditionError);
   EXPECT_THROW(g.has_edge(9, 0), PreconditionError);
+  EXPECT_THROW(g.neighbors(3), PreconditionError);
 }
 
 TEST(Graph, NeighborsAreSorted) {
-  Graph g(5);
-  g.add_edge(2, 4);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
+  GraphBuilder b(5);
+  b.add_edge(2, 4);
+  b.add_edge(2, 0);
+  b.add_edge(2, 3);
+  const Graph g = b.build();
   const auto n = g.neighbors(2);
   ASSERT_EQ(n.size(), 3u);
   EXPECT_EQ(n[0], 0u);
@@ -83,10 +91,8 @@ TEST(Graph, UnreachableDistanceIsMinusOne) {
 }
 
 TEST(Graph, ConnectivityDetection) {
-  Graph g(4, {{0, 1}, {1, 2}});
-  EXPECT_FALSE(g.is_connected());
-  g.add_edge(2, 3);
-  EXPECT_TRUE(g.is_connected());
+  EXPECT_FALSE(Graph(4, {{0, 1}, {1, 2}}).is_connected());
+  EXPECT_TRUE(Graph(4, {{0, 1}, {1, 2}, {2, 3}}).is_connected());
 }
 
 TEST(Graph, SingleNodeConnected) {
@@ -143,17 +149,17 @@ TEST(Graph, IntersectionNodeCountMismatchThrows) {
 
 TEST(Graph, ContainsSubgraph) {
   Graph g(4, {{0, 1}, {1, 2}, {2, 3}});
-  Graph sub(4, {{1, 2}});
-  EXPECT_TRUE(g.contains_subgraph(sub));
-  sub.add_edge(0, 3);
-  EXPECT_FALSE(g.contains_subgraph(sub));
+  EXPECT_TRUE(g.contains_subgraph(Graph(4, {{1, 2}})));
+  EXPECT_FALSE(g.contains_subgraph(Graph(4, {{1, 2}, {0, 3}})));
 }
 
 TEST(Graph, EqualityIsStructural) {
   Graph a(3, {{0, 1}});
-  Graph b(3);
+  GraphBuilder b(3);
   b.add_edge(1, 0);
-  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a == b.build());
+  EXPECT_TRUE(Graph() == Graph(0));
+  EXPECT_FALSE(Graph(2) == Graph(3));
 }
 
 TEST(RestrictedDistances, HonorsMask) {
@@ -184,15 +190,17 @@ TEST(RestrictedDistances, MaskSizeMismatchThrows) {
 TEST(GraphProperty, IntersectionIsSubgraphOfBoth) {
   Rng rng(5);
   for (int trial = 0; trial < 10; ++trial) {
-    Graph a(20);
-    Graph b(20);
+    GraphBuilder ab(20);
+    GraphBuilder bb(20);
     for (int e = 0; e < 40; ++e) {
       const auto x = static_cast<NodeId>(rng.below(20));
       const auto y = static_cast<NodeId>(rng.below(20));
       if (x == y) continue;
-      if (rng.bernoulli(0.5)) a.add_edge(x, y);
-      if (rng.bernoulli(0.5)) b.add_edge(x, y);
+      if (rng.bernoulli(0.5)) ab.add_edge(x, y);
+      if (rng.bernoulli(0.5)) bb.add_edge(x, y);
     }
+    const Graph a = ab.build();
+    const Graph b = bb.build();
     const Graph inter = Graph::intersection(a, b);
     EXPECT_TRUE(a.contains_subgraph(inter));
     EXPECT_TRUE(b.contains_subgraph(inter));
@@ -200,6 +208,106 @@ TEST(GraphProperty, IntersectionIsSubgraphOfBoth) {
     EXPECT_TRUE(uni.contains_subgraph(a));
     EXPECT_TRUE(uni.contains_subgraph(b));
   }
+}
+
+/// Reference adjacency for a random edge list: sorted, duplicate-free rows.
+std::vector<std::vector<NodeId>> reference_rows(
+    std::size_t n, const std::vector<Edge>& edges) {
+  std::vector<std::vector<NodeId>> rows(n);
+  for (const Edge& e : edges) {
+    rows[e.u].push_back(e.v);
+    rows[e.v].push_back(e.u);
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+  }
+  return rows;
+}
+
+std::vector<Edge> random_edges(Rng& rng, std::size_t n, std::size_t count) {
+  std::vector<Edge> out;
+  while (out.size() < count) {
+    const auto x = static_cast<NodeId>(rng.below(n));
+    const auto y = static_cast<NodeId>(rng.below(n));
+    if (x != y) out.push_back(make_edge(x, y));
+  }
+  return out;
+}
+
+void expect_rows(const Graph& g, const std::vector<std::vector<NodeId>>& rows) {
+  ASSERT_EQ(g.node_count(), rows.size());
+  std::size_t arcs = 0;
+  for (NodeId v = 0; v < rows.size(); ++v) {
+    const auto got = g.neighbors(v);
+    EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()), rows[v])
+        << "row " << v;
+    arcs += rows[v].size();
+  }
+  EXPECT_EQ(g.edge_count(), arcs / 2);
+}
+
+TEST(GraphBuilderProperty, CountingSortMatchesSortedRows) {
+  Rng rng(11);
+  GraphBuilder b;
+  Graph reused;
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 2 + rng.below(40);
+    const auto edges = random_edges(rng, n, rng.below(3 * n));
+    b.reset(n);
+    for (const Edge& e : edges) b.add_edge(e.v, e.u);  // either orientation
+    b.build_into(reused);  // the same Graph's storage, trial after trial
+    expect_rows(reused, reference_rows(n, edges));
+    EXPECT_EQ(b.build(), reused);
+  }
+}
+
+TEST(GraphBuilderProperty, BuildOntoIsUnionWithBase) {
+  Rng rng(12);
+  GraphBuilder extra;
+  Graph out;
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 2 + rng.below(40);
+    auto base_edges = random_edges(rng, n, rng.below(2 * n));
+    const auto extra_edges = random_edges(rng, n, rng.below(8));
+    const Graph base(n, base_edges);
+    extra.reset(n);
+    for (const Edge& e : extra_edges) extra.add_edge(e.u, e.v);
+    extra.build_onto(base, out);
+    base_edges.insert(base_edges.end(), extra_edges.begin(), extra_edges.end());
+    expect_rows(out, reference_rows(n, base_edges));
+    EXPECT_EQ(out, Graph::union_of(base, Graph(n, extra_edges)));
+  }
+}
+
+TEST(GraphBuilderProperty, FilterIntoKeepsExactlyTheKeptEdges) {
+  Rng rng(13);
+  Graph out;
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 2 + rng.below(40);
+    const auto edges = random_edges(rng, n, rng.below(3 * n));
+    const Graph base(n, edges);
+    const auto cut = static_cast<NodeId>(rng.below(n));
+    const auto keep = [cut](NodeId u, NodeId v) {
+      return u != cut && v != cut;
+    };
+    GraphBuilder::filter_into(base, keep, out);
+    std::vector<Edge> kept;
+    for (const Edge& e : edges) {
+      if (keep(e.u, e.v)) kept.push_back(e);
+    }
+    expect_rows(out, reference_rows(n, kept));
+  }
+}
+
+TEST(GraphBuilder, WritingOverTheInputIsRejected) {
+  Graph g(3, {{0, 1}});
+  GraphBuilder b(3);
+  EXPECT_THROW(b.build_onto(g, g), PreconditionError);
+  EXPECT_THROW(
+      GraphBuilder::filter_into(g, [](NodeId, NodeId) { return true; }, g),
+      PreconditionError);
+  EXPECT_THROW(b.build_onto(Graph(4), g), PreconditionError);
 }
 
 }  // namespace

@@ -77,20 +77,14 @@ TEST(IntervalIncremental, AgreesOnMobilityTraces) {
 TEST(IntervalIncremental, HandBuiltEdgeCases) {
   // Always the same connected graph: T* = rounds.
   {
-    Graph ring(4);
-    ring.add_edge(0, 1);
-    ring.add_edge(1, 2);
-    ring.add_edge(2, 3);
-    ring.add_edge(3, 0);
+    const Graph ring(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
     GraphSequence seq(std::vector<Graph>(6, ring));
     expect_agreement(seq, 6);
     EXPECT_EQ(max_interval_connectivity(seq, 6), 6u);
   }
   // One disconnected round caps T* at 0.
   {
-    Graph conn(3);
-    conn.add_edge(0, 1);
-    conn.add_edge(1, 2);
+    const Graph conn(3, {{0, 1}, {1, 2}});
     GraphSequence seq({conn, Graph(3), conn});
     expect_agreement(seq, 3);
     EXPECT_EQ(max_interval_connectivity(seq, 3), 0u);
@@ -98,24 +92,16 @@ TEST(IntervalIncremental, HandBuiltEdgeCases) {
   // Connectivity through *different* spanning edges each round: every
   // round is connected but no window of 2 shares a spanning subgraph.
   {
-    Graph a(3);
-    a.add_edge(0, 1);
-    a.add_edge(1, 2);
-    Graph b(3);
-    b.add_edge(0, 2);
-    b.add_edge(0, 1);
+    const Graph a(3, {{0, 1}, {1, 2}});
+    const Graph b(3, {{0, 2}, {0, 1}});
     GraphSequence seq({a, b, a, b});
     expect_agreement(seq, 4);
     EXPECT_EQ(max_interval_connectivity(seq, 4), 1u);
   }
   // A shared stable edge set that spans: T* grows past 1.
   {
-    Graph base(4);
-    base.add_edge(0, 1);
-    base.add_edge(1, 2);
-    base.add_edge(2, 3);
-    Graph noisy = base;
-    noisy.add_edge(0, 3);
+    const Graph base(4, {{0, 1}, {1, 2}, {2, 3}});
+    const Graph noisy(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
     GraphSequence seq({base, noisy, base, noisy, base});
     expect_agreement(seq, 5);
     EXPECT_EQ(max_interval_connectivity(seq, 5), 5u);

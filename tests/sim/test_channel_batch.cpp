@@ -36,11 +36,11 @@ constexpr Round kRounds = 12;
 constexpr std::uint64_t kBaseSeed = 100;
 
 Graph ring_graph() {
-  Graph g(kNodes);
+  GraphBuilder g(kNodes);
   for (NodeId v = 0; v < kNodes; ++v) {
     g.add_edge(v, static_cast<NodeId>((v + 1) % kNodes));
   }
-  return g;
+  return g.build();
 }
 
 /// Per-(replicate, round) transmission list — deterministic and distinct
