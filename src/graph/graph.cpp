@@ -222,8 +222,59 @@ void GraphBuilder::build_into(Graph& out) {
 
 void GraphBuilder::build_onto(const Graph& base, Graph& out) {
   HINET_REQUIRE(base.node_count() == n_, "builder and base disagree on n");
-  build_into(extra_);
-  Graph::merge_rows(base, extra_, /*intersect=*/false, out);
+  HINET_REQUIRE(&base != &out, "build_onto cannot write over its base");
+  // Both directions of every collected edge, as (row, neighbour) pairs in
+  // row-major order without duplicates.  Here Edge is not canonical: u is
+  // the row, v the neighbour.
+  half_.clear();
+  half_.reserve(2 * edges_.size());
+  for (const Edge& e : edges_) {
+    half_.push_back(e);
+    half_.push_back({e.v, e.u});
+  }
+  std::sort(half_.begin(), half_.end());
+  half_.erase(std::unique(half_.begin(), half_.end()), half_.end());
+
+  const auto& boff = base.offsets_;
+  const auto& bnb = base.neighbors_;
+  auto& off = out.offsets_;
+  auto& nb = out.neighbors_;
+  off.resize(n_ + 1);
+  nb.resize(bnb.size() + half_.size());
+  std::uint32_t write = 0;
+  // Rows [from, to) of base gain nothing: one block copy, offsets shifted
+  // by how far the output has run ahead of base.
+  const auto copy_rows = [&](std::size_t from, std::size_t to) {
+    if (from == to) return;
+    const std::uint32_t shift = write - boff[from];
+    for (std::size_t v = from; v < to; ++v) off[v] = boff[v] + shift;
+    std::copy(bnb.begin() + boff[from], bnb.begin() + boff[to],
+              nb.begin() + write);
+    write += boff[to] - boff[from];
+  };
+  std::size_t next_row = 0;
+  for (auto it = half_.begin(); it != half_.end();) {
+    const NodeId u = it->u;
+    auto row_end = it;
+    while (row_end != half_.end() && row_end->u == u) ++row_end;
+    copy_rows(next_row, u);
+    off[u] = write;
+    const auto row = base.neighbors(u);
+    auto out_it = nb.begin() + write;
+    auto a = row.begin();
+    for (; it != row_end; ++it) {
+      // set_union of the base row and the added neighbours, both sorted.
+      while (a != row.end() && *a < it->v) *out_it++ = *a++;
+      if (a != row.end() && *a == it->v) ++a;
+      *out_it++ = it->v;
+    }
+    out_it = std::copy(a, row.end(), out_it);
+    write = static_cast<std::uint32_t>(out_it - nb.begin());
+    next_row = u + 1;
+  }
+  copy_rows(next_row, n_);
+  off[n_] = write;
+  nb.resize(write);
 }
 
 std::vector<int> restricted_distances(const Graph& g, NodeId source,

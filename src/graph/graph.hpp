@@ -157,7 +157,10 @@ class GraphBuilder {
   void build_into(Graph& out);
 
   /// base plus the collected edges, written into out's storage (out must
-  /// not be base): rows are merged, not re-sorted.
+  /// not be base).  Only the rows the collected edges touch are merged;
+  /// each run of untouched rows is copied in one block with its offsets
+  /// shifted, so the cost beyond that copy scales with the edges added,
+  /// not with n.  The result equals Graph::union_of(base, build()).
   void build_onto(const Graph& base, Graph& out);
 
   /// The edges (u, v) of base with keep(u, v) true, written into out's
@@ -184,7 +187,7 @@ class GraphBuilder {
   std::size_t n_;
   std::vector<Edge> edges_;           ///< as added, canonical u < v
   std::vector<std::uint32_t> cursor_; ///< per-row write positions
-  Graph extra_;                       ///< build_onto's collected edges
+  std::vector<Edge> half_;            ///< build_onto's sorted (row, nbr) pairs
 };
 
 /// BFS distances from `source` restricted to the subgraph induced by

@@ -26,7 +26,14 @@
 //
 // All per-round scratch (packet buffer, per-packet costs, inbox offsets /
 // cursors / view lists) is hoisted out of the round loop and reused, so a
-// steady-state round performs no heap allocation inside the engine.
+// steady-state round performs no heap allocation inside the engine.  The
+// packets themselves allocate nothing for k <= TokenSet::kInlineTokens
+// (256): a TokenSet that small keeps its words inline, so a process's
+// transmit copies TA into its packet without touching the heap.  Together
+// with allocation-free streaming synthesis, a steady-state round over a
+// streaming (1, L)-HiNet trace allocates a small constant independent of n
+// (EngineAllocGate in tests/core/test_synthesis_allocs.cpp).  For k > 256
+// each full-set packet still allocates one word buffer.
 //
 // Execution is round-granular: run() is start() + step()-until-done +
 // finish(), and the three stages are public so callers can pause between

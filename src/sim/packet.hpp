@@ -39,8 +39,9 @@ struct Packet {
 
 /// Non-owning view of one transmitted packet: a pointer into the engine's
 /// per-round packet buffer.  The delivery path hands these out instead of
-/// copying packets (a Packet copy heap-allocates its TokenSet), so a
-/// delivery is one pointer push.
+/// copying packets, so a delivery is one pointer push whatever k is.  (A
+/// Packet is 64 bytes; copying one is a flat copy for k <= 256, where the
+/// TokenSet stores its words inline, and a heap allocation above that.)
 using PacketView = const Packet*;
 
 /// One round's inbox as delivered to Process::receive: views into the

@@ -310,5 +310,45 @@ TEST(GraphBuilder, WritingOverTheInputIsRejected) {
   EXPECT_THROW(b.build_onto(Graph(4), g), PreconditionError);
 }
 
+/// Builds base + added with build_onto into an output that held an
+/// unrelated larger graph, and checks it against Graph::union_of.
+void expect_onto_matches_union(std::size_t n,
+                               const std::vector<Edge>& base_edges,
+                               const std::vector<Edge>& added) {
+  const Graph base(n, base_edges);
+  GraphBuilder b(n);
+  for (const Edge& e : added) b.add_edge(e.u, e.v);
+  Graph out(8, {{0, 1}, {1, 2}, {6, 7}});  // stale storage to overwrite
+  b.build_onto(base, out);
+  EXPECT_EQ(out, Graph::union_of(base, b.build()));
+  std::vector<Edge> all = base_edges;
+  all.insert(all.end(), added.begin(), added.end());
+  expect_rows(out, reference_rows(n, all));
+}
+
+TEST(GraphBuilder, BuildOntoWithNoEdgesCopiesTheBase) {
+  expect_onto_matches_union(6, {{0, 1}, {2, 5}, {3, 4}}, {});
+  expect_onto_matches_union(1, {}, {});
+  expect_onto_matches_union(0, {}, {});
+}
+
+TEST(GraphBuilder, BuildOntoEdgeAlreadyInTheBase) {
+  expect_onto_matches_union(5, {{0, 1}, {1, 2}, {3, 4}}, {{2, 1}});
+  expect_onto_matches_union(5, {{0, 1}, {1, 2}, {3, 4}}, {{1, 2}, {0, 4}});
+}
+
+TEST(GraphBuilder, BuildOntoDuplicatesInBothOrientations) {
+  expect_onto_matches_union(6, {{0, 5}}, {{2, 3}, {3, 2}, {2, 3}, {3, 2}});
+}
+
+TEST(GraphBuilder, BuildOntoFirstAndLastRows) {
+  expect_onto_matches_union(7, {{2, 3}}, {{0, 6}});
+  expect_onto_matches_union(7, {{0, 1}, {5, 6}}, {{0, 3}, {3, 6}});
+}
+
+TEST(GraphBuilder, BuildOntoAdjacentTouchedRows) {
+  expect_onto_matches_union(9, {{0, 8}, {4, 8}}, {{3, 4}, {4, 5}, {5, 6}});
+}
+
 }  // namespace
 }  // namespace hinet

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <utility>
+#include <vector>
 
+#include "sim/packet.hpp"
 #include "util/rng.hpp"
 
 namespace hinet {
@@ -287,6 +290,147 @@ TEST_P(TokenSetProperty, CachedCountMatchesRecomputedPopcount) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TokenSetProperty,
                          ::testing::Range<std::uint64_t>(0, 24));
+
+// Storage boundary: universes up to TokenSet::kInlineTokens keep their
+// words inline, larger ones on the heap.  Every property below must hold
+// identically on both sides of the boundary and across it.
+static_assert(TokenSet::kInlineTokens == 256);
+static_assert(sizeof(TokenSet) <= 40, "a TokenSet must stay 40 bytes");
+static_assert(sizeof(Packet) <= 64, "a Packet must fit one cache line");
+
+constexpr std::size_t kBoundaryUniverses[] = {0,   1,   63,  64,  65,
+                                              255, 256, 257, 1000};
+
+/// A random set over `universe` together with its std::vector<bool> model.
+std::pair<TokenSet, std::vector<bool>> random_modeled_set(std::size_t universe,
+                                                          Rng& rng) {
+  TokenSet s(universe);
+  std::vector<bool> model(universe, false);
+  if (universe == 0) return {s, model};
+  const std::size_t fill = rng.below(universe + 1);
+  for (std::size_t i = 0; i < fill; ++i) {
+    const auto t = static_cast<TokenId>(rng.below(universe));
+    s.insert(t);
+    model[t] = true;
+  }
+  return {s, model};
+}
+
+void expect_matches_model(const TokenSet& s, const std::vector<bool>& model) {
+  ASSERT_EQ(s.universe(), model.size());
+  std::size_t present = 0;
+  for (std::size_t t = 0; t < model.size(); ++t) {
+    ASSERT_EQ(s.contains(static_cast<TokenId>(t)), model[t]) << "token " << t;
+    if (model[t]) ++present;
+  }
+  EXPECT_EQ(s.count(), present);
+  EXPECT_EQ(s.full(), present == model.size());
+  EXPECT_EQ(s.words().size(), (model.size() + 63) / 64);
+}
+
+/// The moved-from state: the empty set over universe 0, still usable.
+void expect_moved_from(TokenSet& s) {
+  EXPECT_EQ(s, TokenSet());
+  EXPECT_EQ(s.universe(), 0u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.words().empty());
+  EXPECT_THROW(s.contains(0), PreconditionError);
+  EXPECT_THROW(s.insert(0), PreconditionError);
+  s = TokenSet(3, {2});
+  EXPECT_EQ(s, TokenSet(3, {2}));
+}
+
+class TokenSetStorage : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TokenSetStorage, SetAlgebraMatchesVectorBoolModel) {
+  const std::size_t universe = GetParam();
+  Rng rng(universe + 1);
+  auto [s, model] = random_modeled_set(universe, rng);
+  expect_matches_model(s, model);
+  for (int step = 0; step < 40; ++step) {
+    auto [other, other_model] = random_modeled_set(universe, rng);
+    switch (step % 3) {
+      case 0: {
+        std::size_t fresh = 0;
+        for (std::size_t t = 0; t < universe; ++t) {
+          if (other_model[t] && !model[t]) ++fresh;
+          model[t] = model[t] || other_model[t];
+        }
+        EXPECT_EQ(s.unite(other), fresh);
+        break;
+      }
+      case 1:
+        s.subtract(other);
+        for (std::size_t t = 0; t < universe; ++t) {
+          model[t] = model[t] && !other_model[t];
+        }
+        break;
+      case 2:
+        s.intersect(other);
+        for (std::size_t t = 0; t < universe; ++t) {
+          model[t] = model[t] && other_model[t];
+        }
+        break;
+    }
+    expect_matches_model(s, model);
+  }
+}
+
+TEST_P(TokenSetStorage, CopyAndMoveAcrossTheBoundary) {
+  const std::size_t universe = GetParam();
+  Rng rng(universe + 7);
+  const auto [source, model] = random_modeled_set(universe, rng);
+
+  const TokenSet copied(source);
+  expect_matches_model(copied, model);
+  EXPECT_EQ(copied, source);
+
+  for (std::size_t target_universe : kBoundaryUniverses) {
+    SCOPED_TRACE(target_universe);
+    // Copy-assignment over a set of every other storage kind.
+    TokenSet assigned = random_modeled_set(target_universe, rng).first;
+    assigned = source;
+    expect_matches_model(assigned, model);
+    expect_matches_model(source, model);  // the source is untouched
+
+    // Move-assignment over a set of every other storage kind.
+    TokenSet donor = source;
+    TokenSet moved_to = random_modeled_set(target_universe, rng).first;
+    moved_to = std::move(donor);
+    expect_matches_model(moved_to, model);
+    expect_moved_from(donor);  // NOLINT(bugprone-use-after-move)
+  }
+
+  TokenSet donor = source;
+  TokenSet constructed(std::move(donor));
+  expect_matches_model(constructed, model);
+  expect_moved_from(donor);  // NOLINT(bugprone-use-after-move)
+}
+
+TEST_P(TokenSetStorage, SelfAssignmentKeepsTheSet) {
+  const std::size_t universe = GetParam();
+  Rng rng(universe + 13);
+  auto [s, model] = random_modeled_set(universe, rng);
+  TokenSet& alias = s;
+  s = alias;
+  expect_matches_model(s, model);
+  s = std::move(alias);
+  expect_matches_model(s, model);
+}
+
+TEST_P(TokenSetStorage, WordsRoundTripThroughFromWords) {
+  const std::size_t universe = GetParam();
+  Rng rng(universe + 21);
+  const auto [s, model] = random_modeled_set(universe, rng);
+  const auto words = s.words();
+  const TokenSet back =
+      TokenSet::from_words(universe, {words.begin(), words.end()});
+  EXPECT_EQ(back, s);
+  expect_matches_model(back, model);
+}
+
+INSTANTIATE_TEST_SUITE_P(Universes, TokenSetStorage,
+                         ::testing::ValuesIn(kBoundaryUniverses));
 
 }  // namespace
 }  // namespace hinet
