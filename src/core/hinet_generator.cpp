@@ -266,6 +266,18 @@ class PhaseDriver {
         throw IoError("HiNet generator state corrupt: head set not sorted");
       }
     }
+    // plan_phase freezes the backbone as one simple path, so no node may
+    // sit on it twice.
+    std::vector<char> on_path(cfg_.nodes, 0);
+    for (const auto* ids : {&layout_.chain, &layout_.gateways}) {
+      for (const NodeId x : *ids) {
+        if (on_path[x] != 0) {
+          throw IoError(
+              "HiNet generator state corrupt: backbone repeats a node");
+        }
+        on_path[x] = 1;
+      }
+    }
     // Restored mid-run state carries no statistics: stats are a whole-
     // trace property, precomputed by hinet_trace_stats and unaffected by
     // where a checkpoint cut the run.
@@ -335,17 +347,25 @@ class PhaseDriver {
                                 static_cast<std::ptrdiff_t>(relay_count));
   }
 
-  /// Lays out one phase from the backbone layout into plan_'s storage: emit
-  /// the chain edges, then affiliate every non-backbone node with a head
-  /// (keeping its previous head when possible — the re-affiliation coin
-  /// decides churn), and freeze the stable graph once.
+  /// Lays out one phase from the backbone layout into plan_'s storage:
+  /// thread the backbone path, affiliate every non-backbone node with a
+  /// head (keeping its previous head when possible — the re-affiliation
+  /// coin decides churn), and freeze the stable graph once.
+  ///
+  /// The stable graph is a tree of known shape — one simple backbone path
+  /// plus exactly one member→head edge per other node — so the walks that
+  /// lay it out also count every row's degree, and one ascending pass over
+  /// the nodes writes the CSR in row order: node x is appended to each of
+  /// its neighbours' rows (a member's head, a backbone node's ≤ 2 path
+  /// neighbours), and a member's own row is its head alone.  Every row
+  /// comes out sorted with no edge list and no sort.
   void plan_phase() {
     const std::size_t n = cfg_.nodes;
     const auto l = static_cast<std::size_t>(cfg_.hop_l);
     PhasePlan& plan = plan_;
-    stable_.reset(n);
     plan.view = blank_view_;  // copy-assignment reuses the view's storage
     plan.head_of.assign(n, kNoCluster);
+    degree_.assign(n, 0);
 
     is_head_.assign(n, 0);
     for (NodeId h : layout_.chain) {
@@ -353,16 +373,15 @@ class PhaseDriver {
       plan.head_of[h] = h;
       is_head_[h] = 1;
     }
-    is_gateway_.assign(n, 0);
-    for (NodeId v : layout_.gateways) is_gateway_[v] = 1;
 
-    std::size_t relay_cursor = 0;
-    for (std::size_t i = 0; i + 1 < layout_.chain.size(); ++i) {
-      NodeId prev = layout_.chain[i];
+    // The backbone path: chain heads with L-1 relays between neighbours.
+    path_.clear();
+    for (std::size_t i = 0, relay_cursor = 0; i < layout_.chain.size(); ++i) {
+      path_.push_back(layout_.chain[i]);
+      if (i + 1 == layout_.chain.size()) break;
       const NodeId right = layout_.chain[i + 1];
       for (std::size_t hop = 1; hop < l; ++hop) {
         const NodeId relay = layout_.gateways[relay_cursor++];
-        stable_.add_edge(prev, relay);
         // Affiliate the relay with whichever chain head it is adjacent to;
         // middle relays of an L>3 backbone touch no head and stay
         // unaffiliated (the "at most one cluster" case).
@@ -375,14 +394,18 @@ class PhaseDriver {
         } else {
           plan.view.set_unaffiliated_gateway(relay);
         }
-        prev = relay;
+        path_.push_back(relay);
       }
-      stable_.add_edge(prev, right);
+    }
+    path_pos_.assign(n, kOffPath);
+    for (std::size_t p = 0; p < path_.size(); ++p) {
+      path_pos_[path_[p]] = static_cast<std::uint32_t>(p);
+      degree_[path_[p]] = (p > 0 ? 1u : 0u) + (p + 1 < path_.size() ? 1u : 0u);
     }
 
     // Members: everyone not a head or relay.
     for (NodeId v = 0; v < n; ++v) {
-      if (is_head_[v] || is_gateway_[v]) continue;
+      if (path_pos_[v] != kOffPath) continue;
       const ClusterId prev = prev_head_of_[v];
       ClusterId target = kNoCluster;
       const bool prev_valid = prev != kNoCluster && is_head_[prev];
@@ -397,10 +420,25 @@ class PhaseDriver {
       }
       plan.view.set_member(v, target);
       plan.head_of[v] = target;
-      stable_.add_edge(v, target);
+      degree_[v] = 1;
+      ++degree_[target];
     }
 
-    stable_.build_into(plan.stable);
+    GraphBuilder::fill_rows(
+        degree_,
+        [&](auto append) {
+          for (NodeId x = 0; x < n; ++x) {
+            const std::uint32_t p = path_pos_[x];
+            if (p == kOffPath) {
+              append(x, plan.head_of[x]);
+              append(plan.head_of[x], x);
+              continue;
+            }
+            if (p > 0) append(path_[p - 1], x);
+            if (p + 1 < path_.size()) append(path_[p + 1], x);
+          }
+        },
+        plan.stable);
     HINET_ENSURE(plan.view.validate(plan.stable).empty(),
                  "generated phase hierarchy invalid");
   }
@@ -419,12 +457,14 @@ class PhaseDriver {
 
   // Buffers reused from phase to phase and round to round, so steady-state
   // synthesis allocates nothing proportional to n.
+  static constexpr std::uint32_t kOffPath = static_cast<std::uint32_t>(-1);
   const HierarchyView blank_view_;  ///< every node an unaffiliated member
   std::vector<char> is_head_;
-  std::vector<char> is_gateway_;
   std::vector<NodeId> pool_;
-  GraphBuilder stable_;  ///< the phase's backbone + member edges
-  GraphBuilder churn_;   ///< the round's ephemeral edges
+  std::vector<NodeId> path_;            ///< the backbone path, end to end
+  std::vector<std::uint32_t> path_pos_; ///< index in path_, or kOffPath
+  std::vector<std::uint32_t> degree_;   ///< stable-graph row lengths
+  GraphBuilder churn_;  ///< the round's ephemeral edges
 };
 
 HiNetTraceStats finalize_stats(const HiNetConfig& cfg, HiNetTraceStats stats,

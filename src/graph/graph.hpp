@@ -11,9 +11,11 @@
 // several threads at once.
 //
 // Graphs are built by a GraphBuilder (below): edges are collected in a
-// flat list and frozen into CSR by a counting sort.  A builder reuses its
-// buffers, and can write into an existing Graph's storage, so per-round
-// synthesis rebuilds a round's graph without allocating.
+// flat list and frozen into CSR by a counting sort, or — when the caller
+// already knows every row's degree and can emit neighbours in ascending
+// order — written row by row with no sort at all (fill_rows).  A builder
+// reuses its buffers, and can write into an existing Graph's storage, so
+// per-round synthesis rebuilds a round's graph without allocating.
 #pragma once
 
 #include <cstdint>
@@ -162,6 +164,41 @@ class GraphBuilder {
   /// shifted, so the cost beyond that copy scales with the edges added,
   /// not with n.  The result equals Graph::union_of(base, build()).
   void build_onto(const Graph& base, Graph& out);
+
+  /// A graph whose rows the caller fills in ascending order, written into
+  /// out's storage with no edge list and no sort.  Row v gets degree[v]
+  /// slots; fill(append) must call append(v, u) exactly degree[v] times
+  /// for each row v, with u ascending within the row (rows may be filled
+  /// interleaved), and must emit both directions of every edge, with no
+  /// self-loops or duplicates.  Out-of-range ids and a row filled past or
+  /// short of its degree are rejected; sortedness and symmetry are the
+  /// caller's contract.
+  template <typename Fill>
+  static void fill_rows(std::span<const std::uint32_t> degree, Fill fill,
+                        Graph& out) {
+    const std::size_t n = degree.size();
+    auto& off = out.offsets_;
+    off.resize(n + 1);
+    // off[v + 1] is row v's write cursor: it starts at the row's first
+    // slot and, once the row is full, ends where row v + 1 begins.
+    std::uint32_t total = 0;
+    off[0] = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      off[v + 1] = total;
+      total += degree[v];
+    }
+    out.neighbors_.resize(total);
+    fill([&](NodeId row, NodeId nbr) {
+      HINET_REQUIRE(row < n && nbr < n && off[row + 1] < total,
+                    "fill_rows entry out of range");
+      out.neighbors_[off[row + 1]++] = nbr;
+    });
+    std::uint32_t end = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      end += degree[v];
+      HINET_REQUIRE(off[v + 1] == end, "fill_rows row not filled to degree");
+    }
+  }
 
   /// The edges (u, v) of base with keep(u, v) true, written into out's
   /// storage (out must not be base).  keep is called once per direction

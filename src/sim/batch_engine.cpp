@@ -79,7 +79,7 @@ BatchOutcome BatchEngine::run() {
   std::uint64_t deadline_ms = 0;
   for (Replicate& rep : replicates_) {
     bind(rep);
-    rep.core.begin(rep.config);
+    rep.core.begin(rep.config, scratch_);
     rep.active = true;
     deadline_ms = std::max<std::uint64_t>(deadline_ms, rep.config.deadline_ms);
   }

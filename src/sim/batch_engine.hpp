@@ -12,7 +12,7 @@
 //             via supports_batching() (otherwise a per-replicate
 //             begin_round loop — always correct, never sniffed by
 //             dynamic_cast in the engine);
-//   phase C — per replicate, in index order: scatter, channel filtering,
+//   phase C — per replicate, in index order: gather, channel filtering,
 //             receive() and completion bookkeeping.
 //
 // Every replicate owns its trace, hierarchy, channel and processes; the

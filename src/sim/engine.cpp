@@ -124,7 +124,7 @@ void Engine::start(const EngineConfig& cfg) {
                            "started a run (processes hold consumed state)");
   started_ = true;
   bind_core();
-  core_.begin(cfg);
+  core_.begin(cfg, scratch_);
   arm_deadline();
 }
 
@@ -297,8 +297,7 @@ void Engine::restore(const SimSnapshot& snap) {
   // Completion flags are derived, not stored: knowledge().full() is the
   // same predicate the live run used, so recomputing cannot disagree.
   core_.rescan_completion();
-  core_.packets.clear();
-  core_.packet_costs.clear();
+  core_.prepare_buffers(scratch_);
 
   // The wall-clock budget restarts on resume (documented in spec.hpp).
   arm_deadline();

@@ -5,28 +5,29 @@
 //
 //   for each round r:
 //     1. collect transmit() from every unfinished node      (send step)
-//     2. scatter each packet to its sender's G_r neighbours (delivery)
+//     2. gather each node's inbox from its G_r neighbours   (delivery)
 //     3. receive() per node; account costs; track completion
 //
-// Delivery is sender-centric and zero-copy: the engine walks the round's
-// packet list once, pushing a PacketView into each CSR neighbour's inbox
-// index list (a counting-sort over receivers — O(Σ deg(sender)) instead
-// of the receiver-centric O(n · packets) edge probing, with no per-packet
-// TokenSet copies).  Because packets are collected in sender order and the
-// scatter is stable, every inbox stays sorted by sender id — the ordering
-// the determinism guarantee and the algorithms' tie-breaking rely on.
-// Channel filtering runs receiver-major over the prebuilt lists, which
-// preserves the exact deliver() call order (and hence RNG draw order) of
-// the receiver-centric engine: a (trace, seed) pair reproduces
-// byte-identical metrics across engine generations.
+// Delivery is receiver-centric, sort-free and zero-copy: the send step
+// records which packet each node sent, and each receiver's inbox is its
+// transmitting neighbours read off its own CSR row — O(Σ deg) per round,
+// with no per-packet TokenSet copies.  CSR rows are sorted and symmetric,
+// so every inbox is exactly the senders that reach the receiver, sorted
+// by sender id — the ordering the determinism guarantee and the
+// algorithms' tie-breaking rely on.  Channel filtering runs in the same
+// walk, receivers ascending and senders ascending, which is the deliver()
+// call order (and hence RNG draw order) of every earlier engine: a
+// (trace, seed) pair reproduces byte-identical metrics across engine
+// generations.
 //
 // Completion is tracked incrementally: knowledge is monotone and grows
 // only in receive() (see Process), so each node is checked once per round
 // with an O(1) TokenSet::full() and never re-scanned once complete.
 //
-// All per-round scratch (packet buffer, per-packet costs, inbox offsets /
-// cursors / view lists) is hoisted out of the round loop and reused, so a
-// steady-state round performs no heap allocation inside the engine.  The
+// All per-round scratch (packet buffer, per-packet costs, the per-node
+// packet index, one inbox view buffer) is sized before the first round and
+// reused, so a steady-state round performs no heap allocation inside the
+// engine.  The
 // packets themselves allocate nothing for k <= TokenSet::kInlineTokens
 // (256): a TokenSet that small keeps its words inline, so a process's
 // transmit copies TA into its packet without touching the heap.  Together

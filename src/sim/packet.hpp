@@ -38,9 +38,10 @@ struct Packet {
 };
 
 /// Non-owning view of one transmitted packet: a pointer into the engine's
-/// per-round packet buffer.  The delivery path hands these out instead of
-/// copying packets, so a delivery is one pointer push whatever k is.  (A
-/// Packet is 64 bytes; copying one is a flat copy for k <= 256, where the
+/// per-round packet buffer.  Delivery gathers a receiver's inbox by
+/// writing one view per transmitting CSR neighbour instead of copying
+/// packets, so a delivery is one pointer store whatever k is.  (A Packet
+/// is 64 bytes; copying one is a flat copy for k <= 256, where the
 /// TokenSet stores its words inline, and a heap allocation above that.)
 using PacketView = const Packet*;
 

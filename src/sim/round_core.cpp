@@ -4,7 +4,7 @@
 
 namespace hinet::detail {
 
-void RunCore::begin(const EngineConfig& config) {
+void RunCore::begin(const EngineConfig& config, InboxScratch& scratch) {
   cfg = config;
   round = 0;
   const std::size_t n = node_count();
@@ -21,9 +21,15 @@ void RunCore::begin(const EngineConfig& config) {
   }
 
   rescan_completion();
+  prepare_buffers(scratch);
+}
 
+void RunCore::prepare_buffers(InboxScratch& scratch) {
+  const std::size_t n = node_count();
   packets.clear();
   packet_costs.clear();
+  packet_of.assign(n, kNoPacket);
+  if (scratch.views.size() < n) scratch.views.resize(n);
 }
 
 void RunCore::rescan_completion() {
@@ -42,8 +48,8 @@ void RunCore::rescan_completion() {
 }
 
 // detlint: hot-path-begin — the round body must not allocate in steady
-// state; scratch buffers are reused via clear()/assign(), and the only
-// growth is the documented high-water resize of the inbox view array.
+// state; scratch buffers are sized by prepare_buffers() and reused via
+// clear()/assign().
 void RunCore::send_step(const Graph& g, const HierarchyView& h) {
   const std::size_t n = node_count();
   HINET_REQUIRE(g.node_count() == n, "round graph node count changed");
@@ -52,6 +58,7 @@ void RunCore::send_step(const Graph& g, const HierarchyView& h) {
   // computed once here and reused for tx and rx accounting.
   packets.clear();
   packet_costs.clear();
+  packet_of.assign(n, kNoPacket);
   std::size_t round_tokens = 0;
   for (NodeId v = 0; v < n; ++v) {
     RoundContext ctx{round, v, &g, &h};
@@ -61,6 +68,7 @@ void RunCore::send_step(const Graph& g, const HierarchyView& h) {
       const std::size_t cost = pkt->cost();
       round_tokens += cost;
       metrics.per_node_tx_tokens[v] += cost;
+      packet_of[v] = static_cast<std::uint32_t>(packets.size());
       packet_costs.push_back(cost);
       packets.push_back(std::move(*pkt));
     }
@@ -75,50 +83,22 @@ void RunCore::deliver_and_receive(const Graph& g, const HierarchyView& h,
   const std::size_t n = node_count();
   const Round r = round;
 
-  // Delivery: sender-centric scatter.  One pass over the packet list
-  // counts each CSR neighbour's candidates, a prefix sum carves the flat
-  // view array into per-receiver segments, and a second stable pass
-  // places the views — packets are in sender order, so every segment
-  // stays sorted by sender id.
-  scratch.offsets.assign(n + 1, 0u);
-  for (const Packet& pkt : packets) {
-    for (NodeId u : g.neighbors(pkt.src)) ++scratch.offsets[u + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    scratch.offsets[v + 1] += scratch.offsets[v];
-  }
-  // detlint-allow(hot-path-alloc): grows to the high-water inbox total
-  scratch.views.resize(scratch.offsets[n]);  // once, then capacity is reused
-  scratch.cursor.assign(n, 0u);
-  std::copy(scratch.offsets.begin(), scratch.offsets.end() - 1,
-            scratch.cursor.begin());
-  for (const Packet& pkt : packets) {
-    for (NodeId u : g.neighbors(pkt.src)) {
-      scratch.views[scratch.cursor[u]++] = &pkt;
-    }
-  }
-
-  // Receive step: receiver-major, so stateful channels see deliver()
-  // calls in exactly the order the receiver-centric engine made them
-  // (receivers ascending, packets in sender order per receiver).
-  // Surviving views are compacted in place within each segment.
+  // Receiver-major gather: v's inbox is its transmitting neighbours, read
+  // off v's CSR row, so it comes out sorted by sender id and the channel
+  // sees deliver() calls receivers ascending, senders ascending.
+  PacketView* inbox = scratch.views.data();
   for (NodeId v = 0; v < n; ++v) {
-    PacketView* seg = scratch.views.data() + scratch.offsets[v];
-    std::uint32_t len = scratch.offsets[v + 1] - scratch.offsets[v];
-    if (channel != nullptr) {
-      std::uint32_t kept = 0;
-      for (std::uint32_t i = 0; i < len; ++i) {
-        PacketView pkt = seg[i];
-        if (channel->deliver(r, *pkt, v)) seg[kept++] = pkt;
-      }
-      len = kept;
-    }
-    for (std::uint32_t i = 0; i < len; ++i) {
-      metrics.per_node_rx_tokens[v] +=
-          packet_costs[static_cast<std::size_t>(seg[i] - packets.data())];
+    std::size_t len = 0;
+    for (NodeId u : g.neighbors(v)) {
+      const std::uint32_t idx = packet_of[u];
+      if (idx == kNoPacket) continue;
+      const Packet& pkt = packets[idx];
+      if (channel != nullptr && !channel->deliver(r, pkt, v)) continue;
+      metrics.per_node_rx_tokens[v] += packet_costs[idx];
+      inbox[len++] = &pkt;
     }
     RoundContext ctx{r, v, &g, &h};
-    (*processes)[v]->receive(ctx, InboxView(seg, len));
+    (*processes)[v]->receive(ctx, InboxView(inbox, len));
     if (complete[v] == 0 && (*processes)[v]->knowledge().full()) {
       complete[v] = 1;
       ++complete_nodes;

@@ -2,17 +2,18 @@
 //
 // Engine (sim/engine.hpp, serial) and BatchEngine (sim/batch_engine.hpp,
 // lockstep over R replicates) execute the identical per-replicate round
-// logic through this core: send step, sender-centric counting-sort
-// scatter, channel filtering, receive step and incremental completion
-// bookkeeping.  Keeping one implementation makes "batched == serial, byte
-// for byte" a structural property instead of a test-enforced hope: the
-// two engines cannot drift apart, because there is only one round body.
+// logic through this core: send step, receiver-centric gather over the
+// round graph's CSR rows, channel filtering, receive step and incremental
+// completion bookkeeping.  Keeping one implementation makes "batched ==
+// serial, byte for byte" a structural property instead of a test-enforced
+// hope: the two engines cannot drift apart, because there is only one
+// round body.
 //
 // The round is split where the lockstep schedule needs a seam:
 //
 //   send_step()            collect transmit() in node-id order
 //   -- channel begin_round / begin_round_batch runs here --
-//   deliver_and_receive()  scatter, channel-filter, receive()
+//   deliver_and_receive()  gather, channel-filter, receive()
 //   end_round()            round counters, completion, per-round series
 //
 // The serial engine runs the three parts back to back per round; the
@@ -23,11 +24,14 @@
 // per-replicate sequence of process calls and RNG draws is exactly the
 // serial one in either schedule.
 //
-// InboxScratch is the delivery-side scratch (inbox offsets / cursors /
-// packet views).  It lives outside the core so a lockstep batch reuses
-// ONE scratch across all replicates: per-replicate state stays small
-// (processes, metrics, send buffers) while the O(Σ deg) delivery buffers
-// exist once per batch instead of once per replicate.
+// Delivery needs no sort: send_step records which packet (if any) each
+// node sent, and each receiver's inbox is gathered by walking its own CSR
+// row, which is sorted by node id.  Graph rows are symmetric, so that is
+// exactly the set of transmitting neighbours, in sender order.
+//
+// InboxScratch is the delivery-side scratch: one receiver's inbox at a
+// time.  It lives outside the core so a lockstep batch reuses ONE scratch
+// across all replicates.
 #pragma once
 
 #include <cstdint>
@@ -44,13 +48,10 @@ namespace hinet::detail {
 
 /// Delivery scratch, shareable across replicates within a round (each
 /// replicate's delivery uses it transiently inside deliver_and_receive).
-/// All buffers reuse capacity round to round; steady-state rounds perform
-/// no heap allocation here beyond the documented high-water growth of
-/// `views`.
+/// `views` holds one receiver's inbox; an inbox is at most a CSR row, so
+/// prepare_buffers() sizes it to n once and rounds never grow it.
 struct InboxScratch {
-  std::vector<std::uint32_t> offsets;  ///< per-receiver segment bounds
-  std::vector<std::uint32_t> cursor;   ///< scatter write positions
-  std::vector<PacketView> views;       ///< flat per-receiver view segments
+  std::vector<PacketView> views;
 };
 
 /// Per-replicate run state plus the per-round send buffers — everything
@@ -74,9 +75,12 @@ struct RunCore {
   std::size_t complete_nodes = 0;
 
   // Per-replicate send-side scratch, allocated once per run and reused
-  // (clear() keeps capacity).
+  // (clear() keeps capacity).  packet_of[v] is v's index in `packets` this
+  // round, or kNoPacket.
+  static constexpr std::uint32_t kNoPacket = static_cast<std::uint32_t>(-1);
   std::vector<Packet> packets;
   std::vector<std::size_t> packet_costs;
+  std::vector<std::uint32_t> packet_of;
 
   std::size_t node_count() const { return net->node_count(); }
 
@@ -86,9 +90,13 @@ struct RunCore {
   }
 
   /// Initialises run state for a fresh run under `config`: zeroed metrics
-  /// with per-node vectors sized, the initial completion scan, and empty
-  /// send buffers.  Bindings must be set first.
-  void begin(const EngineConfig& config);
+  /// with per-node vectors sized, the initial completion scan, and
+  /// prepare_buffers(scratch).  Bindings must be set first.
+  void begin(const EngineConfig& config, InboxScratch& scratch);
+
+  /// Empties the send buffers and sizes packet_of and scratch for n nodes,
+  /// so that rounds reuse capacity (begin() and snapshot restore).
+  void prepare_buffers(InboxScratch& scratch);
 
   /// Re-derives the completion flags from current process knowledge (used
   /// by begin() and snapshot restore; knowledge().full() is the same
@@ -104,14 +112,18 @@ struct RunCore {
   }
 
   /// Send half of round `round`: collects transmit() from every
-  /// unfinished node in node-id order into `packets`/`packet_costs` and
-  /// accounts tx costs.  `g`/`h` are the round's graph and hierarchy.
+  /// unfinished node in node-id order into `packets`/`packet_costs`,
+  /// records `packet_of` and accounts tx costs.  `g`/`h` are the round's
+  /// graph and hierarchy.
   void send_step(const Graph& g, const HierarchyView& h);
 
-  /// Delivery half: sender-centric scatter into `scratch`, channel
-  /// filtering in receiver-major order, receive() per node, incremental
-  /// completion tracking.  The channel's begin_round (or the batch hook)
-  /// must have run between send_step and this call.
+  /// Delivery half: for each receiver v in ascending order, gathers the
+  /// packets of v's transmitting neighbours from v's CSR row (sender
+  /// order) into `scratch`, filters them through the channel, then calls
+  /// receive() and updates completion.  The channel therefore sees its
+  /// deliver() calls receiver-major, senders ascending.  The channel's
+  /// begin_round (or the batch hook) must have run between send_step and
+  /// this call.
   void deliver_and_receive(const Graph& g, const HierarchyView& h,
                            InboxScratch& scratch);
 

@@ -8,6 +8,9 @@
 //     from the adjacency-vector Graph this CSR Graph replaced;
 //   - StreamedRoundsMatchMaterialized: each config's streamed rounds equal
 //     its materialized rounds edge for edge;
+//   - PhaseFreezeIsWellFormedCsr: the phase plan's row-order CSR freeze
+//     yields sorted, duplicate-free, symmetric rows — every realized round
+//     equals the graph rebuilt from its own edge list;
 //   - the aliasing cases: a reference held across the next graph_at call
 //     still shows its own round, because the next round goes to the other
 //     slot of the default window of 2.
@@ -116,6 +119,37 @@ TEST(SynthesisEquivalence, StreamedRoundsMatchMaterialized) {
           << "config " << i << " round " << r << ": " << describe(cfg);
     }
   }
+}
+
+/// Every round of cfg's stream equals Graph(n, edges()): the edge-list
+/// constructor sorts, dedupes and symmetrizes, so any unsorted, duplicate
+/// or one-sided row in the synthesized CSR makes the two differ.
+void expect_well_formed_rounds(const HiNetConfig& cfg) {
+  HiNetStream stream = make_hinet_stream(cfg);
+  for (Round r = 0; r < stream.rounds; ++r) {
+    const Graph& g = stream.topology->graph_at(r);
+    ASSERT_EQ(Graph(cfg.nodes, g.edges()), g)
+        << "round " << r << ": " << describe(cfg);
+  }
+}
+
+TEST(SynthesisEquivalence, PhaseFreezeIsWellFormedCsr) {
+  for (std::size_t i = 0; i < kConfigs; ++i) {
+    HiNetConfig cfg = random_config(i);
+    expect_well_formed_rounds(cfg);
+    // At the minimum node count every node is a head or a relay: the
+    // stable graph is the backbone path alone.
+    cfg.nodes = hinet_min_nodes(cfg.heads, cfg.hop_l);
+    expect_well_formed_rounds(cfg);
+  }
+  HiNetConfig large;
+  large.nodes = 2000;
+  large.heads = large.nodes / 8;
+  large.phase_length = 1;
+  large.phases = 6;
+  large.backbone_rewire_prob = 0.1;
+  large.seed = 41;
+  expect_well_formed_rounds(large);
 }
 
 TEST(RingSlotAliasing, HeldStreamRoundSurvivesNextRound) {

@@ -300,6 +300,76 @@ TEST(GraphBuilderProperty, FilterIntoKeepsExactlyTheKeptEdges) {
   }
 }
 
+TEST(GraphBuilderProperty, FillRowsMatchesSortedRows) {
+  // Random forests filled the way phase synthesis fills its tree: one
+  // ascending pass over x appends x to each neighbour's row.
+  Rng rng(14);
+  Graph out;
+  for (int trial = 0; trial < 30; ++trial) {
+    const std::size_t n = 1 + rng.below(40);
+    std::vector<Edge> edges;
+    for (NodeId v = 1; v < n; ++v) {
+      if (rng.bernoulli(0.8)) {
+        edges.push_back({static_cast<NodeId>(rng.below(v)), v});
+      }
+    }
+    const auto rows = reference_rows(n, edges);
+    std::vector<std::uint32_t> degree(n);
+    for (NodeId v = 0; v < n; ++v) {
+      degree[v] = static_cast<std::uint32_t>(rows[v].size());
+    }
+    GraphBuilder::fill_rows(
+        degree,
+        [&](auto append) {
+          for (NodeId x = 0; x < n; ++x) {
+            for (NodeId y : rows[x]) append(y, x);
+          }
+        },
+        out);
+    expect_rows(out, rows);
+    EXPECT_EQ(out, Graph(n, edges));
+  }
+}
+
+TEST(GraphBuilder, FillRowsRejectsRowsOffTheirDegree) {
+  Graph out;
+  const std::vector<std::uint32_t> degree = {1, 2, 1};
+  const auto path = [](auto append) {
+    append(1, 0);
+    append(0, 1);
+    append(2, 1);
+    append(1, 2);
+  };
+  GraphBuilder::fill_rows(degree, path, out);
+  EXPECT_EQ(out, Graph(3, {{0, 1}, {1, 2}}));
+  // Row 0 over-filled, row 1 short: the total matches but rows do not.
+  EXPECT_THROW(GraphBuilder::fill_rows(degree,
+                                       [](auto append) {
+                                         append(0, 1);
+                                         append(0, 2);
+                                         append(1, 0);
+                                         append(2, 1);
+                                       },
+                                       out),
+               PreconditionError);
+  // One entry too many overall.
+  EXPECT_THROW(GraphBuilder::fill_rows(degree,
+                                       [&](auto append) {
+                                         path(append);
+                                         append(2, 0);
+                                       },
+                                       out),
+               PreconditionError);
+  // One entry short.
+  EXPECT_THROW(GraphBuilder::fill_rows(
+                   degree, [](auto append) { append(1, 0); }, out),
+               PreconditionError);
+  // A neighbour id past n.
+  EXPECT_THROW(GraphBuilder::fill_rows(
+                   degree, [](auto append) { append(0, 3); }, out),
+               PreconditionError);
+}
+
 TEST(GraphBuilder, WritingOverTheInputIsRejected) {
   Graph g(3, {{0, 1}});
   GraphBuilder b(3);

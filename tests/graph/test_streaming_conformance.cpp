@@ -253,6 +253,55 @@ TEST(StreamingConformance, HiNetStreamBackwardAccessReplays) {
   }
 }
 
+TEST(StreamingConformance, HiNetStateWithARepeatedBackboneNodeIsRejected) {
+  // The phase plan freezes the backbone as one simple path, so restored
+  // generator state whose relay list repeats a chain head must be refused
+  // at restore, not turned into a malformed graph at the next phase.
+  HiNetConfig cfg;
+  cfg.nodes = 30;
+  cfg.heads = 4;
+  cfg.phase_length = 1;
+  cfg.phases = 6;
+  cfg.seed = 5;
+  HiNetStream stream = make_hinet_stream(cfg);
+  (void)stream.topology->graph_at(2);
+  ByteWriter saved;
+  dynamic_cast<TraceStateSource&>(*stream.topology).save_trace_state(saved);
+
+  ByteReader outer(saved.buffer(), "trace state");
+  const std::uint64_t frontier = outer.u64();
+  const auto blob = outer.blob();
+  std::vector<std::uint8_t> driver(blob.begin(), blob.end());
+  // Walk to the layout: three RNG states, the phase, then the head set,
+  // previous affiliations, chain and gateways as counted u32 vectors.
+  ByteReader walk(driver, "driver state");
+  for (int word = 0; word < 13; ++word) (void)walk.u64();
+  const auto skip_nodes = [&walk] {
+    const std::uint64_t count = walk.u64();
+    for (std::uint64_t i = 0; i < count; ++i) (void)walk.u32();
+  };
+  skip_nodes();  // head set
+  skip_nodes();  // previous affiliations
+  ASSERT_EQ(walk.u64(), cfg.heads);
+  const std::uint32_t first_head = walk.u32();
+  for (std::size_t i = 1; i < cfg.heads; ++i) (void)walk.u32();
+  ASSERT_EQ(walk.u64(), cfg.heads - 1);  // (heads - 1) * (L - 1) relays
+  const std::size_t at = driver.size() - walk.remaining();
+  for (int byte = 0; byte < 4; ++byte) {
+    driver[at + static_cast<std::size_t>(byte)] =
+        static_cast<std::uint8_t>(first_head >> (8 * byte));
+  }
+  ByteWriter bad;
+  bad.u64(frontier);
+  bad.blob(driver);
+
+  HiNetStream fresh = make_hinet_stream(cfg);
+  ByteReader r(bad.buffer(), "trace state");
+  EXPECT_THROW(dynamic_cast<TraceStateSource&>(*fresh.topology)
+                   .restore_trace_state(r),
+               IoError);
+}
+
 TEST(StreamingConformance, MaterializeBudgetGuardThrows) {
   MarkovianConfig cfg;
   cfg.nodes = 64;

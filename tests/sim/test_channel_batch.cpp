@@ -49,10 +49,10 @@ Graph ring_graph() {
 std::vector<Packet> workload(std::size_t replicate, Round r) {
   std::vector<Packet> packets;
   for (NodeId v = 0; v < kNodes; ++v) {
-    if ((v + replicate + static_cast<std::size_t>(r)) % 3 == 0) {
+    if ((v + replicate + r) % 3 == 0) {
       Packet p;
       p.src = v;
-      p.tokens = TokenSet(4, {static_cast<TokenId>(v % 4)});
+      p.tokens = TokenSet(4, {v % 4});
       packets.push_back(std::move(p));
     }
   }

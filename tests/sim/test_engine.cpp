@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "graph/generators.hpp"
+#include "sim/channel.hpp"
+#include "sim/faults.hpp"
 #include "sim/trace.hpp"
+#include "util/rng.hpp"
 
 namespace hinet {
 namespace {
@@ -361,6 +366,192 @@ TEST(Engine, FlatViewWhenNoHierarchy) {
   ps.push_back(std::make_unique<FlatCheckProcess>(1));
   Engine engine(net, nullptr, std::move(ps));
   engine.run({.max_rounds = 1, .stop_when_complete = false});
+}
+
+// --- gather-delivery oracle ---------------------------------------------
+//
+// The engine gathers each receiver's inbox from its CSR row.  The oracle
+// here knows nothing of CSR: it keeps each round's edges as a set, and
+// says receiver v hears exactly {u : {u, v} is an edge, u transmitted},
+// senders ascending, with the channel consulted receivers ascending and,
+// per receiver, senders ascending.
+
+/// Transmits on the rounds `speaks` marks; records each inbox's senders.
+class GatherProbe final : public Process {
+ public:
+  using Heard = std::vector<std::vector<std::vector<NodeId>>>;  // [r][v]
+
+  GatherProbe(NodeId self, const std::vector<std::vector<char>>* speaks,
+              Heard* heard)
+      : self_(self), speaks_(speaks), heard_(heard), ta_(1) {}
+
+  std::optional<Packet> transmit(const RoundContext& ctx) override {
+    if ((*speaks_)[ctx.round][self_] == 0) return std::nullopt;
+    Packet pkt;
+    pkt.src = self_;
+    pkt.tokens = TokenSet(1, {0});
+    return pkt;
+  }
+
+  void receive(const RoundContext& ctx, InboxView inbox) override {
+    auto& got = (*heard_)[ctx.round][self_];
+    for (PacketView pkt : inbox) got.push_back(pkt->src);
+  }
+
+  const TokenSet& knowledge() const override { return ta_; }
+
+ private:
+  NodeId self_;
+  const std::vector<std::vector<char>>* speaks_;
+  Heard* heard_;
+  TokenSet ta_;
+};
+
+struct DeliverCall {
+  Round round;
+  NodeId src;
+  NodeId receiver;
+  friend bool operator==(const DeliverCall&, const DeliverCall&) = default;
+};
+
+/// Forwards to a LossyChannel and logs every deliver() call.
+class RecordingChannel final : public ChannelModel {
+ public:
+  RecordingChannel(double loss, std::uint64_t seed,
+                   std::vector<DeliverCall>* calls)
+      : inner_(loss, seed), calls_(calls) {}
+
+  bool deliver(Round r, const Packet& pkt, NodeId receiver) override {
+    calls_->push_back({r, pkt.src, receiver});
+    return inner_.deliver(r, pkt, receiver);
+  }
+
+ private:
+  LossyChannel inner_;
+  std::vector<DeliverCall>* calls_;
+};
+
+struct GatherCase {
+  std::size_t n = 0;
+  std::vector<std::vector<Edge>> rounds;  ///< each round's edge list
+  FaultPlan faults;                       ///< crash-only, may be empty
+};
+
+/// Runs the case through the engine and checks every inbox (and, with a
+/// channel, every deliver() call) against the edge-set reference.
+void check_gather(const GatherCase& c, bool lossy, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "seed " << seed << " lossy " << lossy);
+  const std::size_t n = c.n;
+  const std::size_t rounds = c.rounds.size();
+  constexpr double kLoss = 0.3;
+
+  Rng rng(seed);
+  std::vector<std::vector<char>> speaks(rounds, std::vector<char>(n, 0));
+  for (auto& row : speaks) {
+    for (char& s : row) s = rng.bernoulli(0.6) ? 1 : 0;
+  }
+
+  GatherProbe::Heard heard(rounds, std::vector<std::vector<NodeId>>(n));
+  std::vector<DeliverCall> calls;
+  std::vector<Graph> graphs;
+  for (const auto& edges : c.rounds) graphs.emplace_back(n, edges);
+  SimulationSpec spec;
+  auto base = std::make_unique<GraphSequence>(std::move(graphs));
+  if (c.faults.empty()) {
+    spec.network = std::move(base);
+  } else {
+    spec.network = std::make_unique<FaultyNetwork>(std::move(base), c.faults);
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    spec.processes.push_back(std::make_unique<GatherProbe>(v, &speaks, &heard));
+  }
+  if (lossy) {
+    spec.channel = std::make_unique<RecordingChannel>(kLoss, seed, &calls);
+  }
+  spec.engine.max_rounds = rounds;
+  spec.engine.stop_when_complete = false;
+  run_simulation(std::move(spec));
+
+  LossyChannel reference_channel(kLoss, seed);
+  std::vector<DeliverCall> expected_calls;
+  for (Round r = 0; r < rounds; ++r) {
+    std::vector<std::set<NodeId>> nbrs(n);
+    for (const Edge& e : c.rounds[r]) {
+      if (c.faults.node_down(e.u, r) || c.faults.node_down(e.v, r)) continue;
+      nbrs[e.u].insert(e.v);
+      nbrs[e.v].insert(e.u);
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      std::vector<NodeId> expected;
+      for (NodeId u : nbrs[v]) {
+        if (speaks[r][u] == 0) continue;
+        if (lossy) {
+          expected_calls.push_back({r, u, v});
+          Packet pkt;
+          pkt.src = u;
+          pkt.tokens = TokenSet(1, {0});
+          if (!reference_channel.deliver(r, pkt, v)) continue;
+        }
+        expected.push_back(u);
+      }
+      ASSERT_EQ(heard[r][v], expected) << "round " << r << " receiver " << v;
+    }
+  }
+  EXPECT_EQ(calls, expected_calls);
+}
+
+std::vector<Edge> random_edges(std::size_t n, std::size_t count, Rng& rng) {
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto a = static_cast<NodeId>(rng.below(n));
+    const auto b = static_cast<NodeId>(rng.below(n));
+    if (a != b) edges.push_back(make_edge(a, b));
+  }
+  return edges;
+}
+
+TEST(EngineGatherOracle, RandomGraphsWithIsolatedNodes) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed * 101);
+    GatherCase c;
+    c.n = 40;
+    // Edges only among the first 30 nodes: 30..39 stay isolated, and the
+    // sparse random draws isolate more nodes in some rounds.
+    for (int r = 0; r < 8; ++r) c.rounds.push_back(random_edges(30, 35, rng));
+    check_gather(c, /*lossy=*/false, seed);
+    check_gather(c, /*lossy=*/true, seed);
+  }
+}
+
+TEST(EngineGatherOracle, HighDegreeRowAfterLowDegreeRows) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 211);
+    GatherCase c;
+    c.n = 50;
+    for (int r = 0; r < 6; ++r) {
+      // A sparse path over 0..48, then node 49 adjacent to everyone.
+      std::vector<Edge> edges = random_edges(49, 20, rng);
+      for (NodeId v = 0; v + 1 < 49; v += 3) edges.push_back({v, v + 1});
+      for (NodeId v = 0; v < 49; ++v) edges.push_back({v, 49});
+      c.rounds.push_back(std::move(edges));
+    }
+    check_gather(c, /*lossy=*/false, seed);
+    check_gather(c, /*lossy=*/true, seed);
+  }
+}
+
+TEST(EngineGatherOracle, FaultFilteredTrace) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 307);
+    GatherCase c;
+    c.n = 36;
+    for (int r = 0; r < 10; ++r) c.rounds.push_back(random_edges(36, 70, rng));
+    c.faults = random_churn_plan(c.n, /*crash_count=*/6, /*horizon=*/8,
+                                 /*downtime=*/3, seed);
+    ASSERT_FALSE(c.faults.crashes.empty());
+    check_gather(c, /*lossy=*/false, seed);
+    check_gather(c, /*lossy=*/true, seed);
+  }
 }
 
 }  // namespace
