@@ -1,15 +1,15 @@
 // Execution-policy scaling benchmark.
 //
 // Runs a fixed repetition batch of one scenario under every ExecutionPolicy
-// — serial, threaded at several worker counts, lockstep-batched at several
-// batch widths, and the threaded×batched composition — checks that every
-// run reproduces the serial statistics exactly (the runner's core
-// contract), and reports wall time, throughput and speedup per policy.
+// — serial, and threaded at several worker counts — checks that every run
+// reproduces the serial statistics exactly (the runner's core contract),
+// and reports wall time, throughput and speedup per policy.
 // Results go to stdout and, with --out, to a BENCH_*.json file for the
 // repo's record of measured numbers.
 #include "common.hpp"
 
 #include <fstream>
+#include <sstream>
 #include <thread>
 
 using namespace hinet;
@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
       std::string label;
       std::string mode;
       std::size_t jobs;
-      std::size_t replicates_per_batch;
       double seconds;
       double runs_per_second;
       double speedup;
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
       p.label = label;
       p.mode = to_string(policy.mode);
       p.jobs = policy.effective_jobs();
-      p.replicates_per_batch = agg.timing.replicates_per_batch;
       p.seconds = agg.timing.wall_seconds;
       p.runs_per_second = agg.timing.runs_per_second;
       p.speedup = agg.timing.wall_seconds > 0.0
@@ -83,22 +81,11 @@ int main(int argc, char** argv) {
       measure("threaded j=" + std::to_string(jobs),
               ExecutionPolicy::threaded(jobs));
     }
-    for (std::size_t r : {std::size_t{4}, std::size_t{8}, std::size_t{16}}) {
-      if (r > reps) continue;
-      measure("batched R=" + std::to_string(r), ExecutionPolicy::batched(r));
-    }
-    if (reps >= 8) {
-      const std::size_t tb_jobs = std::max<std::size_t>(2, max_jobs / 2);
-      measure("threaded-batched j=" + std::to_string(tb_jobs) + " R=8",
-              ExecutionPolicy::threaded_batched(tb_jobs, 8));
-    }
     std::cout << t;
     std::cout << "\nSerial reference: " << serial.timing.wall_seconds
               << " s (" << serial.timing.runs_per_second << " runs/s).\n"
-              << "Threaded speedups above 1 require free hardware threads; "
-                 "batched speedups\ncome from lockstep cache locality and "
-                 "shared scratch, so they also show on a\nsingle-core host. "
-                 "Every policy must reproduce the serial statistics "
+              << "Threaded speedups above 1 require free hardware threads. "
+                 "Every policy must\nreproduce the serial statistics "
                  "bit-for-bit.\n";
 
     if (!out_path.empty()) {
@@ -117,7 +104,6 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < points.size(); ++i) {
         const Point& p = points[i];
         f << "    {\"policy\": \"" << p.mode << "\", \"jobs\": " << p.jobs
-          << ", \"replicates_per_batch\": " << p.replicates_per_batch
           << ", \"seconds\": " << p.seconds
           << ", \"runs_per_second\": " << p.runs_per_second
           << ", \"speedup\": " << p.speedup << ", \"stats_identical\": "
@@ -127,22 +113,18 @@ int main(int argc, char** argv) {
       f << "  ],\n";
       // The record of measured numbers carries its own interpretation so a
       // regenerated file never loses it.
+      std::ostringstream measured;
+      measured << "Measured with hardware_concurrency=" << hw << ":";
+      for (std::size_t i = 1; i < points.size(); ++i) {
+        measured << (i > 1 ? "," : "") << " " << points[i].label << " "
+                 << points[i].speedup << "x";
+      }
+      measured << " serial runs/s.";
       f << "  \"notes\": [\n"
-        << "    \"Replicate throughput on this workload is dominated by "
-           "per-replicate spec construction (trace generation), which every "
-           "policy pays identically; on a 1-core host the batched policies "
-           "therefore sit at parity with serial, within noise.\",\n"
-        << "    \"Against the v0 record of this file (commit d5daf3d, same "
-           "nodes=100 workload, 1-core host: serial 155.5 runs/s), the "
-           "current batched R=8 point clears the 1.5x acceptance floor "
-           "several times over; the bulk of that is the removal of the "
-           "provably redundant whole-trace Ctvg::validate() in "
-           "make_hinet_trace plus lazy validate error strings, which landed "
-           "together with the lockstep engine.\",\n"
-        << "    \"Multi-core target: threaded-batched (jobs x lockstep "
-           "batches) is the sweep configuration expected to reach 10x "
-           "serial runs/s on a >=8-core host; hardware_concurrency above "
-           "records what this box offered.\"\n"
+        << "    \"" << measured.str() << "\",\n"
+        << "    \"Threaded speedup needs free hardware threads; on a shared "
+           "host it reads flat or noisy. Only the stats_identical column "
+           "is a contract.\"\n"
         << "  ]\n}\n";
       std::cout << "\nJSON written to " << out_path << '\n';
     }

@@ -9,8 +9,6 @@
 #include <sstream>
 #include <thread>
 
-#include "sim/batch_engine.hpp"
-
 namespace hinet {
 
 const char* to_string(ExecutionPolicy::Mode m) {
@@ -19,10 +17,6 @@ const char* to_string(ExecutionPolicy::Mode m) {
       return "serial";
     case ExecutionPolicy::Mode::kThreaded:
       return "threaded";
-    case ExecutionPolicy::Mode::kBatched:
-      return "batched";
-    case ExecutionPolicy::Mode::kThreadedBatched:
-      return "threaded-batched";
   }
   return "?";
 }
@@ -124,119 +118,6 @@ std::vector<ReplicateResult> run_replicates(const SpecFactory& factory,
   if (!failures.empty()) {
     // Failure order depends on thread scheduling; report by replicate index
     // so the same failing batch always reads the same.
-    std::sort(failures.begin(), failures.end(),
-              [](const ReplicateFailure& a, const ReplicateFailure& b) {
-                return a.replicate < b.replicate;
-              });
-    throw ReplicateBatchError(std::move(failures));
-  }
-  return out;
-}
-
-std::vector<ReplicateResult> run_replicates_lockstep(
-    const SpecFactory& factory, std::size_t repetitions,
-    std::uint64_t base_seed, std::size_t replicates_per_batch,
-    std::size_t jobs) {
-  HINET_REQUIRE(repetitions >= 1, "need at least one repetition");
-  HINET_REQUIRE(replicates_per_batch >= 1,
-                "replicates_per_batch must be at least 1");
-  HINET_REQUIRE(
-      repetitions - 1 <= std::numeric_limits<std::uint64_t>::max() - base_seed,
-      "replicate seed overflow: base_seed + repetitions - 1 wraps past "
-      "2^64, which would alias replicates onto low seeds and correlate "
-      "'independent' repetitions — lower the base seed or the repetition "
-      "count");
-  if (jobs == 0) jobs = default_jobs();
-  std::vector<ReplicateResult> out(repetitions);
-
-  // Same collect-all-failures contract as run_replicates: every replicate
-  // gets its chance, the batch error lists every bad seed at the end.
-  std::mutex failure_mutex;
-  std::vector<ReplicateFailure> failures;
-  auto record_failure = [&](std::size_t rep, const std::string& message) {
-    const std::lock_guard<std::mutex> lock(failure_mutex);
-    failures.push_back(
-        ReplicateFailure{rep, replicate_seed(base_seed, rep), message});
-  };
-
-  // Lockstep groups cover consecutive index ranges [gR, (g+1)R) so the
-  // mapping replicate -> seed -> result slot is scheduling-independent.
-  const std::size_t group_count =
-      (repetitions + replicates_per_batch - 1) / replicates_per_batch;
-  auto run_group = [&](std::size_t group) {
-    const std::size_t begin = group * replicates_per_batch;
-    const std::size_t end =
-        std::min(begin + replicates_per_batch, repetitions);
-
-    // Build the group's specs.  A throwing factory costs only its own
-    // replicate; the rest of the group still runs in lockstep.
-    std::vector<SimulationSpec> specs;
-    std::vector<std::size_t> members;  // replicate index per spec slot
-    specs.reserve(end - begin);
-    members.reserve(end - begin);
-    for (std::size_t rep = begin; rep < end; ++rep) {
-      try {
-        specs.push_back(factory(replicate_seed(base_seed, rep)));
-        members.push_back(rep);
-      } catch (const std::exception& e) {
-        record_failure(rep, e.what());
-      } catch (...) {
-        record_failure(rep, "unknown exception");
-      }
-    }
-    if (specs.empty()) return;
-
-    const auto t0 = Clock::now();
-    try {
-      BatchEngine engine(std::move(specs));
-      BatchOutcome outcome = engine.run();
-      // Lockstep interleaves rounds across the group, so a single
-      // replicate's wall time is not observable; split the group wall
-      // evenly (timing only — excluded from same_statistics).
-      const double wall_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-      const double per_replicate_ms =
-          wall_ms / static_cast<double>(members.size());
-      for (std::size_t slot = 0; slot < members.size(); ++slot) {
-        if (!outcome.slots[slot].has_value()) continue;
-        out[members[slot]] =
-            ReplicateResult{std::move(*outcome.slots[slot]), per_replicate_ms};
-      }
-      for (const BatchReplicateFailure& f : outcome.failures) {
-        record_failure(members[f.index], f.message);
-      }
-    } catch (const std::exception& e) {
-      // Batch assembly failed (spec validation, channel homogeneity):
-      // not attributable to one replicate, so the whole group reports it.
-      for (const std::size_t rep : members) record_failure(rep, e.what());
-    } catch (...) {
-      for (const std::size_t rep : members) {
-        record_failure(rep, "unknown exception");
-      }
-    }
-  };
-
-  if (jobs == 1 || group_count == 1) {
-    for (std::size_t group = 0; group < group_count; ++group) run_group(group);
-  } else {
-    // Worker pool pulling whole lockstep groups from a shared counter —
-    // the ThreadedBatched composition.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        const std::size_t group = next.fetch_add(1, std::memory_order_relaxed);
-        if (group >= group_count) break;
-        run_group(group);
-      }
-    };
-    const std::size_t width = jobs < group_count ? jobs : group_count;
-    std::vector<std::thread> pool;
-    pool.reserve(width);
-    for (std::size_t i = 0; i < width; ++i) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-
-  if (!failures.empty()) {
     std::sort(failures.begin(), failures.end(),
               [](const ReplicateFailure& a, const ReplicateFailure& b) {
                 return a.replicate < b.replicate;
@@ -350,21 +231,11 @@ AggregateResult run_experiment(const SpecFactory& factory,
   const ExecutionPolicy& policy = options.policy;
   const std::size_t jobs = policy.effective_jobs();
   const auto t0 = Clock::now();
-  std::vector<ReplicateResult> results;
-  if (policy.is_batched()) {
-    results = run_replicates_lockstep(factory, options.repetitions,
-                                      options.base_seed,
-                                      policy.replicates_per_batch, jobs);
-  } else {
-    results =
-        run_replicates(factory, options.repetitions, options.base_seed, jobs);
-  }
+  const std::vector<ReplicateResult> results =
+      run_replicates(factory, options.repetitions, options.base_seed, jobs);
   const double seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  AggregateResult out = aggregate_replicates(results, seconds, jobs);
-  out.timing.replicates_per_batch =
-      policy.is_batched() ? policy.replicates_per_batch : 1;
-  return out;
+  return aggregate_replicates(results, seconds, jobs);
 }
 
 }  // namespace hinet

@@ -20,31 +20,11 @@
 //   Threaded{jobs}   — a fixed worker pool of `jobs` threads (0 =
 //                      default_jobs()); each worker builds and runs whole
 //                      replicates.  Wins when hardware threads are free.
-//   Batched{R}       — lockstep batches of R replicates on the calling
-//                      thread via BatchEngine (sim/batch_engine.hpp):
-//                      consecutive index ranges [0,R), [R,2R), ... advance
-//                      round by round together, sharing one inbox scratch
-//                      and making one channel begin_round_batch call per
-//                      lockstep round.  Wins on cache locality and
-//                      per-round overhead amortisation when no extra
-//                      hardware threads exist (the 1-core CI box).
-//   ThreadedBatched  — the worker pool pulls whole lockstep batches:
-//     {jobs, R}        jobs × Batched{R}.  The multi-core sweep
-//                      configuration.
 //
-// Per-replicate wall_ms under the batched policies is the batch wall time
-// divided by the batch's replicate count (lockstep interleaves rounds, so
-// a single replicate's wall time is not individually observable).  Timing
-// is excluded from same_statistics either way.
-//
-// Batched deadline semantics: a lockstep batch shares one wall budget (the
-// max EngineConfig::deadline_ms across its specs); on expiry every
-// replicate still unfinished in that batch fails with DeadlineError.
-//
-// The parallel execution contract is unchanged: every spec owns its whole
-// run, so replicates share no mutable state; the factory must be safe to
-// invoke from multiple threads concurrently (a pure function of the seed,
-// or internally synchronised).
+// The parallel execution contract: every spec owns its whole run, so
+// replicates share no mutable state; the factory must be safe to invoke
+// from multiple threads concurrently (a pure function of the seed, or
+// internally synchronised).
 #pragma once
 
 #include <functional>
@@ -74,41 +54,24 @@ constexpr std::uint64_t replicate_seed(std::uint64_t base_seed,
 /// the top of this header; every mode produces byte-identical statistics.
 struct ExecutionPolicy {
   enum class Mode {
-    kSerial,           ///< calling thread, one replicate at a time
-    kThreaded,         ///< worker pool, whole replicates
-    kBatched,          ///< calling thread, lockstep batches of R
-    kThreadedBatched,  ///< worker pool, lockstep batches of R
+    kSerial,    ///< calling thread, one replicate at a time
+    kThreaded,  ///< worker pool, whole replicates
   };
 
   Mode mode = Mode::kSerial;
 
-  /// Worker-pool width for the threaded modes; 0 = default_jobs().
+  /// Worker-pool width for the threaded mode; 0 = default_jobs().
   std::size_t jobs = 0;
-
-  /// Lockstep batch width R for the batched modes.
-  std::size_t replicates_per_batch = 8;
 
   static ExecutionPolicy serial() { return {}; }
   static ExecutionPolicy threaded(std::size_t jobs = 0) {
-    return {Mode::kThreaded, jobs, 8};
-  }
-  static ExecutionPolicy batched(std::size_t replicates_per_batch = 8) {
-    return {Mode::kBatched, 0, replicates_per_batch};
-  }
-  static ExecutionPolicy threaded_batched(
-      std::size_t jobs = 0, std::size_t replicates_per_batch = 8) {
-    return {Mode::kThreadedBatched, jobs, replicates_per_batch};
+    return {Mode::kThreaded, jobs};
   }
 
-  bool is_batched() const {
-    return mode == Mode::kBatched || mode == Mode::kThreadedBatched;
-  }
-  bool is_threaded() const {
-    return mode == Mode::kThreaded || mode == Mode::kThreadedBatched;
-  }
+  bool is_threaded() const { return mode == Mode::kThreaded; }
 
-  /// Worker-pool width this policy actually uses (1 for the serial
-  /// modes, jobs resolved through default_jobs() otherwise).
+  /// Worker-pool width this policy actually uses (1 for serial, jobs
+  /// resolved through default_jobs() otherwise).
   std::size_t effective_jobs() const;
 };
 
@@ -172,20 +135,6 @@ std::vector<ReplicateResult> run_replicates(const SpecFactory& factory,
                                             std::uint64_t base_seed,
                                             std::size_t jobs = 1);
 
-/// The lockstep executor: partitions the replicate index range into
-/// consecutive batches of `replicates_per_batch` (the last batch may be
-/// short) and advances each batch in lockstep on a BatchEngine; with
-/// jobs > 1 a worker pool pulls whole batches.  Same contract as
-/// run_replicates otherwise: results indexed by replicate, failures
-/// collected into one ReplicateBatchError after everything drained, seed
-/// overflow rejected up front.  Statistics are byte-identical to
-/// run_replicates at equal (factory, repetitions, base_seed); wall_ms is
-/// the batch wall time split evenly across the batch.
-std::vector<ReplicateResult> run_replicates_lockstep(
-    const SpecFactory& factory, std::size_t repetitions,
-    std::uint64_t base_seed, std::size_t replicates_per_batch,
-    std::size_t jobs = 1);
-
 /// Wall-clock measurement of a batch.  Unlike the simulation statistics,
 /// these values vary run to run and are excluded from same_statistics().
 struct BatchTiming {
@@ -193,9 +142,6 @@ struct BatchTiming {
   double wall_seconds = 0.0;   ///< whole-batch wall time
   double runs_per_second = 0.0;  ///< repetitions / wall_seconds
   std::size_t jobs = 1;        ///< worker-pool width actually used
-  /// Lockstep batch width R (1 = not batched).  Execution detail, like
-  /// jobs: excluded from same_statistics.
-  std::size_t replicates_per_batch = 1;
 };
 
 struct AggregateResult {

@@ -98,8 +98,7 @@ ScenarioRun make_scenario_from_trace(Scenario s, const ScenarioConfig& cfg,
                                      HiNetTrace&& trace, std::uint64_t seed);
 
 /// SpecFactory adapter for run_experiment (any ExecutionPolicy).
-/// Pure function of the seed, hence safe for concurrent invocation and
-/// for lockstep batching.
+/// Pure function of the seed, hence safe for concurrent invocation.
 SpecFactory scenario_factory(Scenario s, const ScenarioConfig& cfg);
 
 }  // namespace hinet

@@ -30,9 +30,8 @@
 //     boundary; in-flight replicates finish and reach the journal, so an
 //     interrupted sweep loses nothing it completed.
 //
-// All of the above composes with every ExecutionPolicy: the options-based
-// entry points supervise lockstep batches (BatchEngine) exactly like
-// single replicates, with the batch as the scheduling/cancellation unit.
+// All of the above composes with both ExecutionPolicy modes: serial is the
+// threaded executor with one worker.
 #pragma once
 
 #include <atomic>
@@ -129,16 +128,7 @@ struct SupervisedBatch {
 /// failures (they land in `failures`); does throw for batch-level caller
 /// errors (zero repetitions, seed overflow) and journal open problems.
 ///
-/// options.policy picks the executor.  The batched modes supervise whole
-/// lockstep batches: journal-recorded replicates are skipped up front (so
-/// a resumed sweep only batches what is missing), each batch runs on a
-/// BatchEngine with policy.deadline_ms injected per spec (the batch shares
-/// the wall budget — see sim/batch_engine.hpp), fresh completions reach
-/// the journal in index order within their batch, and transient failures
-/// are retried as singleton runs after the batches drain (a singleton run
-/// is byte-identical to a lockstep slot, and a retried deadline failure
-/// then gets the whole budget to itself).  Cancellation is checked between
-/// batches and between retries.
+/// options.policy sets the worker-pool width (serial = one worker).
 SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
                                           const SupervisorPolicy& policy);
@@ -161,8 +151,8 @@ AggregateResult aggregate_supervised(const SupervisedBatch& batch,
 /// ReplicateBatchError only when *no* replicate succeeded (there is
 /// nothing to aggregate); partial failure is reported through
 /// AggregateResult::failed_replicates instead.  Statistics (and the
-/// stats_digest) do not depend on options.policy — a batched resumed sweep
-/// aggregates byte-identically to a serial one.
+/// stats_digest) do not depend on options.policy — a threaded resumed
+/// sweep aggregates byte-identically to a serial one.
 AggregateResult run_experiment_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
                                           const SupervisorPolicy& policy);

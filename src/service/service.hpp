@@ -65,7 +65,7 @@ struct ServiceOptions {
   /// Admission bound for the queue.
   std::size_t max_pending = 256;
 
-  /// How each job's replicates execute (serial/threaded/batched/...).
+  /// How each job's replicates execute (serial or threaded).
   ExecutionPolicy policy;
 
   /// Per-replicate wall budget and retry budget, passed to the supervisor.

@@ -7,15 +7,6 @@ namespace hinet {
 void ChannelModel::begin_round(Round, const Graph&, std::span<const Packet>) {
 }
 
-void ChannelModel::begin_round_batch(Round r,
-                                     std::span<const ChannelRoundInput> batch) {
-  // Reference implementation of the batch contract: per-replicate
-  // begin_round in index order.  Always conformant, for any channel type.
-  for (const ChannelRoundInput& item : batch) {
-    item.channel->begin_round(r, *item.graph, item.packets);
-  }
-}
-
 void ChannelModel::save_state(ByteWriter&) const {}
 
 void ChannelModel::restore_state(ByteReader&) {}
@@ -120,33 +111,6 @@ bool GilbertElliottChannel::deliver(Round, const Packet&, NodeId receiver) {
   return !loss_rng_.bernoulli(loss);
 }
 
-void GilbertElliottChannel::begin_round_batch(
-    Round, std::span<const ChannelRoundInput> batch) {
-  // Replicate-major chain advance: one flat sweep over every replicate's
-  // per-node chains instead of N virtual begin_round dispatches.  Each
-  // replicate's draws still come from its own state_rng_, in node order —
-  // the exact sequence begin_round makes — so every instance ends
-  // byte-identical to a serial run.
-  for (const ChannelRoundInput& item : batch) {
-    auto* ch = dynamic_cast<GilbertElliottChannel*>(item.channel);
-    HINET_REQUIRE(ch != nullptr,
-                  "GilbertElliottChannel::begin_round_batch requires a "
-                  "homogeneous batch (every replicate's channel must be a "
-                  "GilbertElliottChannel)");
-    const std::size_t n = item.graph->node_count();
-    if (ch->bad_.size() != n) ch->bad_.assign(n, 0);  // chains start Good
-    const GilbertElliottParams& p = ch->params_;
-    Rng& rng = ch->state_rng_;
-    std::vector<char>& bad = ch->bad_;
-    for (NodeId v = 0; v < n; ++v) {
-      if (bad[v]) {
-        if (rng.bernoulli(p.p_bad_to_good)) bad[v] = 0;
-      } else {
-        if (rng.bernoulli(p.p_good_to_bad)) bad[v] = 1;
-      }
-    }
-  }
-}
 // detlint: hot-path-end
 
 bool GilbertElliottChannel::in_bad_state(NodeId v) const {

@@ -111,64 +111,177 @@ SimMetrics Engine::run(const EngineConfig& cfg) {
   return finish();
 }
 
-void Engine::bind_core() {
-  core_.net = net_;
-  core_.hierarchy = hierarchy_;
-  core_.flat_view = &flat_view_;
-  core_.processes = &processes_;
-  core_.channel = channel_;
-}
-
 void Engine::start(const EngineConfig& cfg) {
   HINET_REQUIRE(!started_, "Engine::run is single-shot: this engine already "
                            "started a run (processes hold consumed state)");
   started_ = true;
-  bind_core();
-  core_.begin(cfg, scratch_);
+  cfg_ = cfg;
+  round_ = 0;
+  const std::size_t n = net_->node_count();
+
+  metrics_ = SimMetrics{};
+  metrics_.per_node_tx_tokens.assign(n, 0);
+  metrics_.per_node_rx_tokens.assign(n, 0);
+  {
+    // Pre-size the per-round series (capped, so a huge max_rounds with an
+    // early stop_when_complete exit cannot over-commit memory).
+    const std::size_t cap = std::min<std::size_t>(cfg_.max_rounds, 1u << 20);
+    metrics_.tokens_sent_per_round.reserve(cap);
+    metrics_.complete_nodes_per_round.reserve(cap);
+  }
+
+  rescan_completion();
+  prepare_buffers();
   arm_deadline();
+}
+
+void Engine::prepare_buffers() {
+  const std::size_t n = net_->node_count();
+  packets_.clear();
+  packet_costs_.clear();
+  packet_of_.assign(n, kNoPacket);
+  if (inbox_.size() < n) inbox_.resize(n);
+}
+
+void Engine::rescan_completion() {
+  // Incremental completion: knowledge is monotone and grows only in
+  // receive() (see Process), so scan once up front and afterwards re-check
+  // only not-yet-complete nodes right after their receive() call.
+  const std::size_t n = net_->node_count();
+  complete_.assign(n, 0);
+  complete_nodes_ = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (processes_[v]->knowledge().full()) {
+      complete_[v] = 1;
+      ++complete_nodes_;
+    }
+  }
 }
 
 bool Engine::step() {
   HINET_REQUIRE(started_ && !finished_,
                 "Engine::step() requires an active run: call start() or "
                 "restore() first, and not after finish()");
-  // Mirror the classic loop's exit conditions: schedule exhausted, or (with
-  // stop_when_complete) the completion round already ran.
-  if (!core_.pending()) return false;
+  // Exit conditions: schedule exhausted, or (with stop_when_complete) the
+  // completion round already ran.
+  if (round_ >= cfg_.max_rounds ||
+      (cfg_.stop_when_complete && metrics_.rounds_to_completion != kNever)) {
+    return false;
+  }
   if (has_deadline_) {
     // detlint-allow(banned-time): supervision deadline (see start())
     if (std::chrono::steady_clock::now() >= deadline_) {
       std::ostringstream os;
-      os << "engine deadline of " << core_.cfg.deadline_ms
-         << " ms exceeded after " << core_.metrics.rounds_executed
+      os << "engine deadline of " << cfg_.deadline_ms
+         << " ms exceeded after " << metrics_.rounds_executed
          << " round(s); snapshot before the deadline or raise "
          << "EngineConfig::deadline_ms to resume";
       throw DeadlineError(os.str());
     }
   }
 
-  // set_channel may legally swap the channel between rounds; the core
-  // reads the binding, so refresh it each step.
-  core_.channel = channel_;
-
-  const Round r = core_.round;
+  const Round r = round_;
   const Graph& g = net_->graph_at(r);
-  const HierarchyView& h = core_.view_at(r);
+  const HierarchyView& h =
+      hierarchy_ != nullptr ? hierarchy_->hierarchy_at(r) : flat_view_;
 
-  core_.send_step(g, h);
-  if (channel_ != nullptr) channel_->begin_round(r, g, core_.packets);
-  core_.deliver_and_receive(g, h, scratch_);
+  send_step(g, h);
+  if (channel_ != nullptr) channel_->begin_round(r, g, packets_);
+  deliver_and_receive(g, h);
 
-  if (observer_) observer_(r, core_.packets, g, h);
+  if (observer_) observer_(r, packets_, g, h);
 
-  return core_.end_round();
+  return end_round();
 }
+
+// detlint: hot-path-begin — the round body must not allocate in steady
+// state; scratch buffers are sized by prepare_buffers() and reused via
+// clear()/assign().
+void Engine::send_step(const Graph& g, const HierarchyView& h) {
+  const std::size_t n = net_->node_count();
+  HINET_REQUIRE(g.node_count() == n, "round graph node count changed");
+
+  // Send step: node-id order for determinism.  Each packet's cost is
+  // computed once here and reused for tx and rx accounting.
+  packets_.clear();
+  packet_costs_.clear();
+  packet_of_.assign(n, kNoPacket);
+  std::size_t round_tokens = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    RoundContext ctx{round_, v, &g, &h};
+    if (processes_[v]->finished(ctx)) continue;
+    if (auto pkt = processes_[v]->transmit(ctx)) {
+      HINET_REQUIRE(pkt->src == v, "packet src must be the sender");
+      const std::size_t cost = pkt->cost();
+      round_tokens += cost;
+      metrics_.per_node_tx_tokens[v] += cost;
+      packet_of_[v] = static_cast<std::uint32_t>(packets_.size());
+      packet_costs_.push_back(cost);
+      packets_.push_back(std::move(*pkt));
+    }
+  }
+  metrics_.packets_sent += packets_.size();
+  metrics_.tokens_sent += round_tokens;
+  metrics_.tokens_sent_per_round.push_back(round_tokens);
+}
+
+void Engine::deliver_and_receive(const Graph& g, const HierarchyView& h) {
+  const std::size_t n = net_->node_count();
+  const Round r = round_;
+
+  // Receiver-major gather: v's inbox is its transmitting neighbours, read
+  // off v's CSR row, so it comes out sorted by sender id and the channel
+  // sees deliver() calls receivers ascending, senders ascending.
+  PacketView* inbox = inbox_.data();
+  for (NodeId v = 0; v < n; ++v) {
+    std::size_t len = 0;
+    for (NodeId u : g.neighbors(v)) {
+      const std::uint32_t idx = packet_of_[u];
+      if (idx == kNoPacket) continue;
+      const Packet& pkt = packets_[idx];
+      if (channel_ != nullptr && !channel_->deliver(r, pkt, v)) continue;
+      metrics_.per_node_rx_tokens[v] += packet_costs_[idx];
+      inbox[len++] = &pkt;
+    }
+    RoundContext ctx{r, v, &g, &h};
+    processes_[v]->receive(ctx, InboxView(inbox, len));
+    if (complete_[v] == 0 && processes_[v]->knowledge().full()) {
+      complete_[v] = 1;
+      ++complete_nodes_;
+    }
+  }
+}
+
+bool Engine::end_round() {
+  const std::size_t n = net_->node_count();
+  ++round_;
+  ++metrics_.rounds_executed;
+  metrics_.complete_nodes_per_round.push_back(complete_nodes_);
+  if (complete_nodes_ == n && metrics_.rounds_to_completion == kNever) {
+    metrics_.rounds_to_completion = metrics_.rounds_executed;
+    if (cfg_.stop_when_complete) return false;
+  }
+  return round_ < cfg_.max_rounds;
+}
+// detlint: hot-path-end
 
 SimMetrics Engine::finish() {
   HINET_REQUIRE(started_ && !finished_,
                 "Engine::finish() requires an active run");
   finished_ = true;
-  return core_.seal();
+  const std::size_t n = net_->node_count();
+  metrics_.all_delivered = complete_nodes_ == n;
+  if (metrics_.all_delivered && metrics_.rounds_to_completion == kNever) {
+    metrics_.rounds_to_completion = metrics_.rounds_executed;
+  }
+  metrics_.complete_nodes_final = complete_nodes_;
+  metrics_.per_node_tokens_known.resize(n);
+  for (NodeId v = 0; v < n; ++v) {
+    metrics_.per_node_tokens_known[v] = processes_[v]->knowledge().count();
+  }
+  metrics_.token_universe =
+      n > 0 ? processes_.front()->knowledge().universe() : 0;
+  return std::move(metrics_);
 }
 
 SimSnapshot Engine::snapshot() const {
@@ -177,12 +290,12 @@ SimSnapshot Engine::snapshot() const {
                 "and finish()");
   const std::size_t n = net_->node_count();
   ByteWriter w;
-  w.u64(core_.round);
+  w.u64(round_);
   w.u64(n);
-  w.u64(core_.cfg.max_rounds);
-  w.u8(core_.cfg.stop_when_complete ? 1 : 0);
-  w.u64(core_.cfg.deadline_ms);
-  save_metrics(w, core_.metrics);
+  w.u64(cfg_.max_rounds);
+  w.u8(cfg_.stop_when_complete ? 1 : 0);
+  w.u64(cfg_.deadline_ms);
+  save_metrics(w, metrics_);
   w.u8(channel_ != nullptr ? 1 : 0);
   if (channel_ != nullptr) {
     ByteWriter cw;
@@ -289,15 +402,14 @@ void Engine::restore(const SimSnapshot& snap) {
 
   // Commit only after the whole payload decoded cleanly.
   started_ = true;
-  bind_core();
-  core_.cfg = cfg;
-  core_.round = stored_round;
-  core_.metrics = std::move(metrics);
+  cfg_ = cfg;
+  round_ = stored_round;
+  metrics_ = std::move(metrics);
 
   // Completion flags are derived, not stored: knowledge().full() is the
   // same predicate the live run used, so recomputing cannot disagree.
-  core_.rescan_completion();
-  core_.prepare_buffers(scratch_);
+  rescan_completion();
+  prepare_buffers();
 
   // The wall-clock budget restarts on resume (documented in spec.hpp).
   arm_deadline();
@@ -314,14 +426,13 @@ void Engine::arm_deadline() {
           std::chrono::steady_clock::duration::max())
           .count() /
       2);
-  has_deadline_ = core_.cfg.deadline_ms > 0 &&
-                  core_.cfg.deadline_ms <= kMaxDeadlineMs;
+  has_deadline_ = cfg_.deadline_ms > 0 && cfg_.deadline_ms <= kMaxDeadlineMs;
   if (has_deadline_) {
     // An over-budget run throws DeadlineError instead of degrading, so
     // metrics never depend on the host clock.
     // detlint-allow(banned-time): deadline only gates abort, never results
     deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(core_.cfg.deadline_ms);
+                std::chrono::milliseconds(cfg_.deadline_ms);
   }
 }
 

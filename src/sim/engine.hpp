@@ -55,13 +55,15 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "cluster/hierarchy.hpp"
 #include "graph/dynamic.hpp"
 #include "sim/channel.hpp"
-#include "sim/round_core.hpp"
+#include "sim/metrics.hpp"
+#include "sim/process.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/spec.hpp"
 
@@ -131,7 +133,7 @@ class Engine {
   void restore(const SimSnapshot& snap);
 
   /// Round index of the next round step() would execute.
-  Round current_round() const { return core_.round; }
+  Round current_round() const { return round_; }
 
   void set_observer(RoundObserver obs) { observer_ = std::move(obs); }
 
@@ -145,12 +147,39 @@ class Engine {
  private:
   void validate() const;
 
-  /// Points the run core's bindings at this engine's topology, processes
-  /// and channel (called at start()/restore(), and per step for the
-  /// channel, which set_channel may swap between rounds).
-  void bind_core();
+  /// Empties the send buffers and sizes packet_of_ and inbox_ for n nodes,
+  /// so that rounds reuse capacity (start() and restore()).
+  void prepare_buffers();
 
-  /// Arms (or disarms) the wall-clock budget from the core's deadline_ms,
+  /// Re-derives the completion flags from current process knowledge (used
+  /// by start() and restore(); knowledge().full() is the same predicate
+  /// the live run uses, so recomputing cannot disagree).
+  void rescan_completion();
+
+  // The round body, split where the channel's begin_round runs:
+  //
+  //   send_step()            collect transmit() in node-id order
+  //   -- channel begin_round --
+  //   deliver_and_receive()  gather, channel-filter, receive()
+  //   end_round()            round counters, completion, per-round series
+
+  /// Send half of round `round_`: collects transmit() from every
+  /// unfinished node in node-id order into `packets_`/`packet_costs_`,
+  /// records `packet_of_` and accounts tx costs.
+  void send_step(const Graph& g, const HierarchyView& h);
+
+  /// Delivery half: for each receiver v in ascending order, gathers the
+  /// packets of v's transmitting neighbours from v's CSR row (sender
+  /// order) into `inbox_`, filters them through the channel, then calls
+  /// receive() and updates completion.  The channel therefore sees its
+  /// deliver() calls receiver-major, senders ascending.
+  void deliver_and_receive(const Graph& g, const HierarchyView& h);
+
+  /// Round bookkeeping: advances the round counter and the per-round
+  /// series.  Returns step()'s value.
+  bool end_round();
+
+  /// Arms (or disarms) the wall-clock budget from cfg_.deadline_ms,
   /// saturating un-representable budgets to "no deadline".
   void arm_deadline();
 
@@ -168,14 +197,27 @@ class Engine {
   RoundObserver observer_;
   ChannelModel* channel_ = nullptr;
 
-  // Run state and per-round scratch, valid between start()/restore() and
-  // finish().  The round body itself lives in detail::RunCore, shared
-  // verbatim with the lockstep BatchEngine; the core's state (round
-  // counter, metrics, completion flags) is what snapshot() captures.
+  // Run state, valid between start()/restore() and finish().  snapshot()
+  // captures the config, round counter and metrics; the completion flags
+  // are re-derived on restore.
   bool started_ = false;
   bool finished_ = false;
-  detail::RunCore core_;
-  detail::InboxScratch scratch_;
+  EngineConfig cfg_;
+  Round round_ = 0;
+  SimMetrics metrics_;
+  std::vector<char> complete_;
+  std::size_t complete_nodes_ = 0;
+
+  // Per-round scratch, sized by prepare_buffers() and reused (clear()
+  // keeps capacity).  packet_of_[v] is v's index in `packets_` this round,
+  // or kNoPacket; `inbox_` holds one receiver's inbox at a time, and an
+  // inbox is at most a CSR row, so n entries always suffice.
+  static constexpr std::uint32_t kNoPacket = static_cast<std::uint32_t>(-1);
+  std::vector<Packet> packets_;
+  std::vector<std::size_t> packet_costs_;
+  std::vector<std::uint32_t> packet_of_;
+  std::vector<PacketView> inbox_;
+
   // Supervision deadline: over-budget runs throw, they never degrade, so
   // results stay a pure function of (spec, seed).
   // detlint-allow(banned-time): deadline only gates abort, never results

@@ -146,16 +146,13 @@ TEST(ParallelRunner, AllWorkersObserveEveryReplicateExactlyOnce) {
 TEST(ExecutionPolicy_, FactoriesAndQueries) {
   EXPECT_EQ(ExecutionPolicy::serial().mode, ExecutionPolicy::Mode::kSerial);
   EXPECT_EQ(ExecutionPolicy::threaded(3).jobs, 3u);
-  EXPECT_EQ(ExecutionPolicy::batched(4).replicates_per_batch, 4u);
-  const ExecutionPolicy tb = ExecutionPolicy::threaded_batched(2, 4);
-  EXPECT_TRUE(tb.is_threaded());
-  EXPECT_TRUE(tb.is_batched());
-  EXPECT_EQ(tb.effective_jobs(), 2u);
-  // Serial modes never spin up a pool regardless of the jobs field.
+  const ExecutionPolicy t = ExecutionPolicy::threaded(2);
+  EXPECT_TRUE(t.is_threaded());
+  EXPECT_EQ(t.effective_jobs(), 2u);
+  // Serial never spins up a pool regardless of the jobs field.
   EXPECT_EQ(ExecutionPolicy::serial().effective_jobs(), 1u);
-  EXPECT_EQ(ExecutionPolicy::batched(8).effective_jobs(), 1u);
-  EXPECT_EQ(std::string(to_string(ExecutionPolicy::Mode::kThreadedBatched)),
-            "threaded-batched");
+  EXPECT_EQ(std::string(to_string(ExecutionPolicy::Mode::kThreaded)),
+            "threaded");
 }
 
 TEST(ParallelRunner, RequiresAtLeastOneRepetition) {

@@ -208,8 +208,7 @@ TEST(Service, ExecutionPolicyDoesNotChangeTheDigest) {
   const JobSpec spec = tiny_spec(7, 3);
   std::vector<std::uint64_t> digests;
   const ExecutionPolicy policies[] = {
-      ExecutionPolicy::serial(), ExecutionPolicy::threaded(2),
-      ExecutionPolicy::batched(2), ExecutionPolicy::threaded_batched(2, 2)};
+      ExecutionPolicy::serial(), ExecutionPolicy::threaded(2)};
   for (const ExecutionPolicy& policy : policies) {
     ServiceOptions options;
     options.policy = policy;

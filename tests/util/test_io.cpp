@@ -1,4 +1,4 @@
-// Tests for TextTable, CsvWriter, CliArgs and the logging layer.
+// Tests for TextTable, CsvWriter and CliArgs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/logging.hpp"
 #include "util/require.hpp"
 #include "util/table.hpp"
 
@@ -140,50 +139,6 @@ TEST(CliArgs, UsageListsRegisteredOptions) {
   EXPECT_NE(usage.find("--nodes"), std::string::npos);
   EXPECT_NE(usage.find("node count"), std::string::npos);
   EXPECT_NE(usage.find("default: 100"), std::string::npos);
-}
-
-class LoggingTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    prev_sink_ = Logging::set_sink(&captured_);
-    prev_level_ = Logging::threshold();
-  }
-  void TearDown() override {
-    Logging::set_sink(prev_sink_);
-    Logging::set_threshold(prev_level_);
-  }
-  std::ostringstream captured_;
-  std::ostream* prev_sink_ = nullptr;
-  LogLevel prev_level_ = LogLevel::kWarn;
-};
-
-TEST_F(LoggingTest, ThresholdSuppressesLowerLevels) {
-  Logging::set_threshold(LogLevel::kWarn);
-  HINET_INFO("test") << "hidden";
-  HINET_WARN("test") << "visible";
-  const std::string out = captured_.str();
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-  EXPECT_NE(out.find("visible"), std::string::npos);
-}
-
-TEST_F(LoggingTest, FormatsLevelAndTag) {
-  Logging::set_threshold(LogLevel::kDebug);
-  HINET_DEBUG("engine") << "round " << 3;
-  EXPECT_NE(captured_.str().find("[DEBUG] [engine] round 3"),
-            std::string::npos);
-}
-
-TEST_F(LoggingTest, OffSilencesEverything) {
-  Logging::set_threshold(LogLevel::kOff);
-  HINET_ERROR("x") << "nope";
-  EXPECT_TRUE(captured_.str().empty());
-}
-
-TEST(LogLevelParse, RoundTrip) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_THROW(parse_log_level("loud"), std::invalid_argument);
-  EXPECT_STREQ(log_level_name(LogLevel::kInfo), "INFO");
 }
 
 }  // namespace

@@ -85,11 +85,8 @@ ExecutionPolicy::Mode parse_policy(const std::string& name) {
   using Mode = ExecutionPolicy::Mode;
   if (name == "serial") return Mode::kSerial;
   if (name == "threaded") return Mode::kThreaded;
-  if (name == "batched") return Mode::kBatched;
-  if (name == "threaded-batched") return Mode::kThreadedBatched;
-  throw std::invalid_argument(
-      "unknown policy '" + name +
-      "' (choose one of: serial, threaded, batched, threaded-batched)");
+  throw std::invalid_argument("unknown policy '" + name +
+                              "' (choose one of: serial, threaded)");
 }
 
 /// Registers the job-spec flags and builds the spec.  Shared by submit and
@@ -156,10 +153,8 @@ ServiceOptions service_options_from_args(CliArgs& args,
     ExecutionPolicy exec;
     exec.mode = parse_policy(args.get_string(
         "policy", "threaded",
-        "execution policy: serial | threaded | batched | threaded-batched"));
+        "execution policy: serial | threaded"));
     exec.jobs = args.get_jobs();
-    exec.replicates_per_batch = static_cast<std::size_t>(args.get_int(
-        "batch-r", 8, "lockstep batch width R for the batched policies"));
     opt.policy = exec;
     opt.deadline_ms = static_cast<std::size_t>(args.get_int(
         "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)"));

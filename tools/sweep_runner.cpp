@@ -20,10 +20,8 @@
 // N-th freshly executed replicate reaches the journal — exactly the state
 // a SIGKILL at that moment would leave behind.
 //
-// --policy selects the ExecutionPolicy (serial | threaded | batched |
-// threaded-batched; --batch-r sets the lockstep width R).  Statistics and
-// the stats-digest are byte-identical across policies; under the batched
-// policies --deadline-ms bounds each lockstep batch as a whole.
+// --policy selects the ExecutionPolicy (serial | threaded).  Statistics and
+// the stats-digest are byte-identical across policies.
 //
 // Exit codes and signal handling follow the convention shared with hinetd
 // (service/exit_codes.hpp): 0 ok, 1 permanent failure, 2 usage,
@@ -65,11 +63,8 @@ hinet::ExecutionPolicy::Mode parse_policy(const std::string& name) {
   using Mode = hinet::ExecutionPolicy::Mode;
   if (name == "serial") return Mode::kSerial;
   if (name == "threaded") return Mode::kThreaded;
-  if (name == "batched") return Mode::kBatched;
-  if (name == "threaded-batched") return Mode::kThreadedBatched;
-  throw std::invalid_argument(
-      "unknown --policy '" + name +
-      "' (choose one of: serial, threaded, batched, threaded-batched)");
+  throw std::invalid_argument("unknown --policy '" + name +
+                              "' (choose one of: serial, threaded)");
 }
 
 }  // namespace
@@ -100,10 +95,7 @@ int main(int argc, char** argv) {
     const std::size_t jobs = args.get_jobs();
     const std::string policy_arg = args.get_string(
         "policy", "threaded",
-        "execution policy: serial | threaded | batched | threaded-batched");
-    const std::size_t batch_r = static_cast<std::size_t>(args.get_int(
-        "batch-r", 8,
-        "lockstep batch width R for the batched policies"));
+        "execution policy: serial | threaded");
     const std::string journal_path = args.get_string(
         "journal", "", "journal file for crash-safe resume ('' = none)");
     const bool resume = args.get_bool(
@@ -136,7 +128,6 @@ int main(int argc, char** argv) {
     ExecutionPolicy exec;
     exec.mode = parse_policy(policy_arg);
     exec.jobs = jobs;
-    exec.replicates_per_batch = batch_r;
     const ExperimentOptions options{reps, seed, exec};
 
     std::unique_ptr<ExperimentJournal> journal;
@@ -186,9 +177,7 @@ int main(int argc, char** argv) {
               << " heads=" << cfg.heads << " k=" << cfg.k
               << " alpha=" << cfg.alpha << " L=" << cfg.hop_l
               << " reps=" << reps << " seed=" << seed
-              << " policy=" << to_string(exec.mode);
-    if (exec.is_batched()) std::cout << " batch-r=" << batch_r;
-    std::cout << "\n";
+              << " policy=" << to_string(exec.mode) << "\n";
     std::cout << "completed: " << batch.completed() << "/" << reps
               << "  from-journal: " << batch.from_journal
               << "  retried: " << batch.retried_replicates
