@@ -16,6 +16,12 @@
 //     with a 2-round ring, memory O(n · W) — the only mode that reaches
 //     n = 10^4 and 10^5 (a materialized trace at n = 10^5 × 400 rounds
 //     would need several GiB; CI pins this with an address-space rlimit).
+// Each point also reports how much of the timed run was trace synthesis:
+// before every Engine::step() the bench calls graph_at(r) on the spec's
+// network itself and times that call, so the step that follows reads round
+// r from the ring (streaming) or the sequence (materialized) at no cost.
+// synthesis_share is that time over the run's wall time, measured without
+// the tracing hooks of perfbench, so it is the untraced share.
 // The memory columns report the process RSS sampled right after the timed
 // run with the spec still alive (resident, attributable to the trace +
 // engine) and the process-lifetime peak (monotone; points run
@@ -42,7 +48,9 @@ struct Point {
   std::size_t nodes = 0;
   std::size_t rounds = 0;
   bool streaming = false;
-  double seconds = 0.0;             ///< best-of-reps wall time of Engine::run
+  double seconds = 0.0;             ///< best-of-reps wall time of the run
+  double synthesis_ms = 0.0;        ///< graph_at time within that run
+  double synthesis_share = 0.0;     ///< synthesis_ms / seconds
   double rounds_per_second = 0.0;
   std::size_t delivered_tokens = 0; ///< Σ per_node_rx_tokens of one run
   double delivered_tokens_per_second = 0.0;
@@ -94,9 +102,26 @@ Point measure(std::size_t nodes, std::size_t rounds, std::size_t k,
   pt.streaming = streaming;
   pt.seconds = -1.0;
   for (std::size_t rep = 0; rep < reps + 1; ++rep) {
-    Engine engine(build_spec(nodes, rounds, k, seed, streaming));
+    SimulationSpec spec = build_spec(nodes, rounds, k, seed, streaming);
+    // The engine takes the spec; the network object itself stays put, so
+    // this pointer can synthesize each round ahead of the step.
+    DynamicNetwork* const net = spec.network.get();
+    const EngineConfig cfg = spec.engine;
+    Engine engine(std::move(spec));
+    double synthesis = 0.0;
     const auto t0 = std::chrono::steady_clock::now();
-    const SimMetrics m = engine.run();
+    engine.start(cfg);
+    for (;;) {
+      if (engine.current_round() < rounds) {
+        const auto s0 = std::chrono::steady_clock::now();
+        (void)net->graph_at(engine.current_round());
+        synthesis += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - s0)
+                         .count();
+      }
+      if (!engine.step()) break;
+    }
+    const SimMetrics m = engine.finish();
     const auto t1 = std::chrono::steady_clock::now();
     // Sample memory while the engine (and thus the trace) is still alive,
     // so the reading reflects this configuration's working set.
@@ -104,7 +129,10 @@ Point measure(std::size_t nodes, std::size_t rounds, std::size_t k,
     pt.peak_rss_bytes = bench::peak_rss_bytes();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
     if (rep == 0) continue;  // warm-up
-    if (pt.seconds < 0.0 || secs < pt.seconds) pt.seconds = secs;
+    if (pt.seconds < 0.0 || secs < pt.seconds) {
+      pt.seconds = secs;
+      pt.synthesis_ms = 1e3 * synthesis;
+    }
     pt.delivered_tokens = std::accumulate(m.per_node_rx_tokens.begin(),
                                           m.per_node_rx_tokens.end(),
                                           std::size_t{0});
@@ -112,6 +140,7 @@ Point measure(std::size_t nodes, std::size_t rounds, std::size_t k,
     HINET_ENSURE(m.rounds_executed == rounds, "bench ran short");
   }
   pt.rounds_per_second = static_cast<double>(rounds) / pt.seconds;
+  pt.synthesis_share = pt.synthesis_ms / (1e3 * pt.seconds);
   pt.delivered_tokens_per_second =
       static_cast<double>(pt.delivered_tokens) / pt.seconds;
   pt.bytes_per_node = static_cast<double>(pt.resident_bytes) /
@@ -179,13 +208,14 @@ int main(int argc, char** argv) {
 
     std::cout << "=== Engine delivery hot path (KLO flood on (1, L)-HiNet, "
                  "k=" << k << ", seed=" << seed << ") ===\n\n";
-    TextTable t({"n", "rounds", "mode", "wall s", "rounds/s",
-                 "delivered tok/s", "rss MiB", "B/node"});
+    TextTable t({"n", "rounds", "mode", "wall s", "rounds/s", "synth ms",
+                 "synth share", "delivered tok/s", "rss MiB", "B/node"});
     std::vector<Point> points;
     for (const Size& s : sizes) {
       const Point p = measure(s.nodes, s.rounds, k, seed, reps, s.streaming);
       t.add(p.nodes, p.rounds, p.streaming ? "streaming" : "materialized",
-            p.seconds, p.rounds_per_second, p.delivered_tokens_per_second,
+            p.seconds, p.rounds_per_second, p.synthesis_ms,
+            p.synthesis_share, p.delivered_tokens_per_second,
             static_cast<double>(p.resident_bytes) / (1024.0 * 1024.0),
             p.bytes_per_node);
       points.push_back(p);
@@ -208,7 +238,10 @@ int main(int argc, char** argv) {
            "timed run with the spec alive; peak_rss_bytes = process "
            "high-water mark (monotone, points run smallest-first). "
            "Streaming points hold only a 2-round ring, so resident_bytes "
-           "is O(n) while materialized grows O(n*rounds).\",\n";
+           "is O(n) while materialized grows O(n*rounds). synthesis_ms = "
+           "time in graph_at(r), called on the spec's network before each "
+           "Engine::step() (which then hits the ring); synthesis_share = "
+           "synthesis_ms over the run's wall time.\",\n";
       f << "  \"points\": [\n";
       for (std::size_t i = 0; i < points.size(); ++i) {
         const Point& p = points[i];
@@ -216,6 +249,8 @@ int main(int argc, char** argv) {
           << ", \"mode\": \"" << (p.streaming ? "streaming" : "materialized")
           << "\", \"seconds\": " << p.seconds
           << ", \"rounds_per_second\": " << p.rounds_per_second
+          << ", \"synthesis_ms\": " << p.synthesis_ms
+          << ", \"synthesis_share\": " << p.synthesis_share
           << ", \"delivered_tokens_per_second\": "
           << p.delivered_tokens_per_second
           << ", \"tokens_sent\": " << p.tokens_sent

@@ -17,35 +17,6 @@ const char* node_role_name(NodeRole role) {
 HierarchyView::HierarchyView(std::size_t n)
     : role_(n, NodeRole::kMember), cluster_(n, kNoCluster) {}
 
-void HierarchyView::check_node(NodeId v) const {
-  HINET_REQUIRE(v < role_.size(), "node id out of range");
-}
-
-NodeRole HierarchyView::role(NodeId v) const {
-  check_node(v);
-  return role_[v];
-}
-
-ClusterId HierarchyView::cluster_of(NodeId v) const {
-  check_node(v);
-  return cluster_[v];
-}
-
-void HierarchyView::set_head(NodeId v) {
-  check_node(v);
-  role_[v] = NodeRole::kHead;
-  cluster_[v] = v;
-}
-
-void HierarchyView::set_member(NodeId v, ClusterId head, bool gateway) {
-  check_node(v);
-  HINET_REQUIRE(head < role_.size() && role_[head] == NodeRole::kHead,
-                "affiliation target is not a head");
-  HINET_REQUIRE(v != head, "head cannot be its own member");
-  role_[v] = gateway ? NodeRole::kGateway : NodeRole::kMember;
-  cluster_[v] = head;
-}
-
 void HierarchyView::mark_gateway(NodeId v) {
   check_node(v);
   HINET_REQUIRE(role_[v] != NodeRole::kHead, "cannot demote a head to gateway");

@@ -15,6 +15,7 @@
 
 #include "graph/dynamic.hpp"
 #include "graph/graph.hpp"
+#include "util/require.hpp"
 
 namespace hinet {
 
@@ -38,15 +39,36 @@ class HierarchyView {
 
   std::size_t node_count() const { return role_.size(); }
 
-  NodeRole role(NodeId v) const;
-  ClusterId cluster_of(NodeId v) const;
+  // role, cluster_of, set_head and set_member are inline: trace synthesis
+  // calls them for every node of every phase.
+
+  NodeRole role(NodeId v) const {
+    check_node(v);
+    return role_[v];
+  }
+
+  ClusterId cluster_of(NodeId v) const {
+    check_node(v);
+    return cluster_[v];
+  }
 
   /// Declares v the head of its own cluster.
-  void set_head(NodeId v);
+  void set_head(NodeId v) {
+    check_node(v);
+    role_[v] = NodeRole::kHead;
+    cluster_[v] = v;
+  }
 
   /// Affiliates v with the cluster headed by `head`, as plain member or
   /// gateway.  `head` must already be a head.
-  void set_member(NodeId v, ClusterId head, bool gateway = false);
+  void set_member(NodeId v, ClusterId head, bool gateway = false) {
+    check_node(v);
+    HINET_REQUIRE(head < role_.size() && role_[head] == NodeRole::kHead,
+                  "affiliation target is not a head");
+    HINET_REQUIRE(v != head, "head cannot be its own member");
+    role_[v] = gateway ? NodeRole::kGateway : NodeRole::kMember;
+    cluster_[v] = head;
+  }
 
   /// Promotes an existing member to gateway status (C(v) = g) without
   /// changing its affiliation.
@@ -89,7 +111,9 @@ class HierarchyView {
   friend bool operator==(const HierarchyView&, const HierarchyView&) = default;
 
  private:
-  void check_node(NodeId v) const;
+  void check_node(NodeId v) const {
+    HINET_REQUIRE(v < role_.size(), "node id out of range");
+  }
 
   std::vector<NodeRole> role_;
   std::vector<ClusterId> cluster_;

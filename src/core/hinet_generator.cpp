@@ -1,6 +1,7 @@
 #include "core/hinet_generator.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
@@ -41,12 +42,6 @@ void validate_config(const HiNetConfig& cfg) {
 struct BackboneLayout {
   std::vector<NodeId> chain;     ///< heads in chain order
   std::vector<NodeId> gateways;  ///< relay nodes, chain order
-};
-
-struct PhasePlan {
-  std::vector<ClusterId> head_of;  ///< per node affiliation (kNoCluster ok)
-  Graph stable;                    ///< backbone + member edges
-  HierarchyView view;
 };
 
 void add_churn_edges(GraphBuilder& g, std::size_t count, Rng& rng) {
@@ -141,11 +136,18 @@ HierarchyView load_view(ByteReader& r) {
 /// builder did per phase, factored out so the materialized and streaming
 /// paths run the identical draw sequence.  After reset() (or construction)
 /// the driver holds phase 0's plan; advance() moves to the next phase.
+///
+/// A driver built with freeze_graph false is the planning-only driver of
+/// hinet_trace_stats: it makes every draw and plans every view exactly as
+/// the live driver does, but never counts degrees or freezes a stable
+/// graph, so it cannot realize rounds.
 class PhaseDriver {
  public:
-  explicit PhaseDriver(const HiNetConfig& cfg)
-      : cfg_(cfg), blank_view_(cfg.nodes) {
+  PhaseDriver(const HiNetConfig& cfg, bool freeze_graph)
+      : cfg_(cfg), freeze_graph_(freeze_graph) {
     validate_config(cfg);
+    path_pos_.resize(cfg.nodes);
+    degree_.resize(cfg.nodes);
     reset();
   }
 
@@ -162,7 +164,8 @@ class PhaseDriver {
     }
     std::sort(head_set_.begin(), head_set_.end());
 
-    prev_head_of_.assign(cfg_.nodes, kNoCluster);
+    // Every node starts unaffiliated: phase 0 has no previous heads.
+    view_ = HierarchyView(cfg_.nodes);
     ever_head_.assign(cfg_.nodes, 0);
     for (NodeId h : head_set_) ever_head_[h] = 1;
 
@@ -179,14 +182,15 @@ class PhaseDriver {
   }
 
   std::size_t phase() const { return phase_; }
-  const HierarchyView& view() const { return plan_.view; }
+  const HierarchyView& view() const { return view_; }
 
   /// One realized round, written into out's storage: the phase's stable
   /// graph plus ephemeral churn edges.
   void realize_round(Graph& out) {
+    HINET_REQUIRE(freeze_graph_, "a planning-only driver realizes no rounds");
     churn_.reset(cfg_.nodes);
     add_churn_edges(churn_, cfg_.churn_edges, churn_rng_);
-    churn_.build_onto(plan_.stable, out);
+    churn_.build_onto(stable_, out);
   }
 
   /// Phase-level statistics accumulated so far; theta is finalized from
@@ -205,12 +209,14 @@ class PhaseDriver {
     save_rng(w, head_rng_);
     w.u64(phase_);
     save_node_vec(w, head_set_);
-    save_node_vec(w, prev_head_of_);
+    // The format stores the affiliations twice, as the previous phase's
+    // and the current plan's; both are the view's clusters.
+    save_node_vec(w, affiliations());
     save_node_vec(w, layout_.chain);
     save_node_vec(w, layout_.gateways);
-    save_node_vec(w, plan_.head_of);
-    save_graph(w, plan_.stable);
-    save_view(w, plan_.view);
+    save_node_vec(w, affiliations());
+    save_graph(w, stable_);
+    save_view(w, view_);
   }
 
   void load_state(ByteReader& r) {
@@ -222,17 +228,22 @@ class PhaseDriver {
       throw IoError("HiNet generator state corrupt: phase out of range");
     }
     head_set_ = load_node_vec(r);
-    prev_head_of_ = load_node_vec(r);
+    const std::vector<ClusterId> prev_head_of = load_node_vec(r);
     layout_.chain = load_node_vec(r);
     layout_.gateways = load_node_vec(r);
-    plan_.head_of = load_node_vec(r);
-    plan_.stable = load_graph(r, cfg_.nodes);
-    plan_.view = load_view(r);
-    if (prev_head_of_.size() != cfg_.nodes ||
-        plan_.head_of.size() != cfg_.nodes ||
-        plan_.view.node_count() != cfg_.nodes ||
-        plan_.stable.node_count() != cfg_.nodes) {
+    const std::vector<ClusterId> head_of = load_node_vec(r);
+    stable_ = load_graph(r, cfg_.nodes);
+    view_ = load_view(r);
+    if (view_.node_count() != cfg_.nodes ||
+        stable_.node_count() != cfg_.nodes) {
       throw IoError("HiNet generator state corrupt: node count mismatch");
+    }
+    // The view is the one record of affiliation (the next phase reads each
+    // member's previous head from it), so both stored copies must match it.
+    if (prev_head_of != head_of || head_of != affiliations()) {
+      throw IoError(
+          "HiNet generator state corrupt: affiliations disagree with the "
+          "view");
     }
     // Every stored node id is used as an index downstream (head churn's
     // is_head scratch, backbone planning, affiliation targets), so an
@@ -241,19 +252,16 @@ class PhaseDriver {
     if (head_set_.size() != cfg_.heads) {
       throw IoError("HiNet generator state corrupt: head set size mismatch");
     }
-    const auto check_ids = [&](const std::vector<NodeId>& ids,
-                               bool allow_no_cluster) {
+    const auto check_ids = [&](const std::vector<NodeId>& ids) {
       for (const NodeId x : ids) {
-        if (x >= cfg_.nodes && !(allow_no_cluster && x == kNoCluster)) {
+        if (x >= cfg_.nodes) {
           throw IoError("HiNet generator state corrupt: node id out of range");
         }
       }
     };
-    check_ids(head_set_, false);
-    check_ids(layout_.chain, false);
-    check_ids(layout_.gateways, false);
-    check_ids(prev_head_of_, true);
-    check_ids(plan_.head_of, true);
+    check_ids(head_set_);
+    check_ids(layout_.chain);
+    check_ids(layout_.gateways);
     // plan_phase walks (chain - 1) * (L - 1) relays off the gateway list,
     // so the layout's sizes must be exactly what plan_backbone produces.
     if (layout_.chain.size() != cfg_.heads ||
@@ -278,6 +286,8 @@ class PhaseDriver {
         on_path[x] = 1;
       }
     }
+    // The restored layout has not been laid out in this driver's scratch.
+    backbone_laid_ = false;
     // Restored mid-run state carries no statistics: stats are a whole-
     // trace property, precomputed by hinet_trace_stats and unaffected by
     // where a checkpoint cut the run.
@@ -293,6 +303,7 @@ class PhaseDriver {
       for (NodeId& h : head_set_) {
         if (!head_rng_.bernoulli(cfg_.head_churn_prob)) continue;
         // Swap head role with a random non-head node.
+        backbone_laid_ = false;  // is_head_ becomes this loop's scratch
         is_head_.assign(cfg_.nodes, 0);
         for (NodeId x : head_set_) is_head_[x] = 1;
         NodeId replacement = h;
@@ -320,7 +331,6 @@ class PhaseDriver {
       plan_backbone();
     }
     plan_phase();
-    prev_head_of_ = plan_.head_of;
   }
 
   /// Lays the backbone out afresh from the head set: shuffled chain order,
@@ -330,6 +340,7 @@ class PhaseDriver {
     const auto l = static_cast<std::size_t>(cfg_.hop_l);
     layout_.chain = head_set_;
     layout_rng_.shuffle(layout_.chain);
+    backbone_laid_ = false;
 
     is_head_.assign(n, 0);
     for (NodeId h : layout_.chain) is_head_[h] = 1;
@@ -347,10 +358,19 @@ class PhaseDriver {
                                 static_cast<std::ptrdiff_t>(relay_count));
   }
 
-  /// Lays out one phase from the backbone layout into plan_'s storage:
-  /// thread the backbone path, affiliate every non-backbone node with a
-  /// head (keeping its previous head when possible — the re-affiliation
-  /// coin decides churn), and freeze the stable graph once.
+  /// Lays out one phase from the backbone layout: thread the backbone
+  /// path, affiliate every non-backbone node with a head (keeping its
+  /// previous head when possible — the re-affiliation coin decides churn),
+  /// and freeze the stable graph once.
+  ///
+  /// The member loop writes every off-path node each phase, and
+  /// lay_backbone writes every path node whenever the backbone changes, so
+  /// nothing is reset first.  The view doubles as the record of the
+  /// previous phase's affiliations: the member loop reads a node's old head
+  /// from the view just before it overwrites it.  A phase that keeps last
+  /// phase's backbone (no rewire, no head change) skips lay_backbone: the
+  /// path, the heads and relays in the view and the relays' degrees all
+  /// still stand, and only the heads' member counts restart.
   ///
   /// The stable graph is a tree of known shape — one simple backbone path
   /// plus exactly one member→head edge per other node — so the walks that
@@ -358,111 +378,161 @@ class PhaseDriver {
   /// the nodes writes the CSR in row order: node x is appended to each of
   /// its neighbours' rows (a member's head, a backbone node's ≤ 2 path
   /// neighbours), and a member's own row is its head alone.  Every row
-  /// comes out sorted with no edge list and no sort.
+  /// comes out sorted with no edge list and no sort.  That pass also checks
+  /// the phase's hierarchy against the graph it writes, node by node: what
+  /// HierarchyView::validate would check, at O(1) per node.
   void plan_phase() {
     const std::size_t n = cfg_.nodes;
-    const auto l = static_cast<std::size_t>(cfg_.hop_l);
-    PhasePlan& plan = plan_;
-    plan.view = blank_view_;  // copy-assignment reuses the view's storage
-    plan.head_of.assign(n, kNoCluster);
-    degree_.assign(n, 0);
-
-    is_head_.assign(n, 0);
-    for (NodeId h : layout_.chain) {
-      plan.view.set_head(h);
-      plan.head_of[h] = h;
-      is_head_[h] = 1;
+    const std::vector<NodeId>& chain = layout_.chain;
+    if (!backbone_laid_) {
+      lay_backbone();
+    } else if (freeze_graph_) {
+      for (NodeId h : chain) degree_[h] = path_degree(path_pos_[h]);
     }
 
-    // The backbone path: chain heads with L-1 relays between neighbours.
+    // Members: everyone not a head or relay, in ascending order, found a
+    // word of the path bitmap at a time (a per-node "on the path?" branch
+    // mispredicts on a quarter of the nodes).
+    for (std::size_t w = 0; w < on_path_.size(); ++w) {
+      std::uint64_t off_path = ~on_path_[w];
+      if ((w + 1) * 64 > n) off_path &= (std::uint64_t{1} << (n % 64)) - 1;
+      for (; off_path != 0; off_path &= off_path - 1) {
+        const auto v = static_cast<NodeId>(
+            64 * w + static_cast<std::size_t>(std::countr_zero(off_path)));
+        const ClusterId prev = view_.cluster_of(v);  // last phase's head
+        ClusterId target = kNoCluster;
+        const bool prev_valid = prev != kNoCluster && is_head_[prev];
+        if (prev_valid && !layout_rng_.bernoulli(cfg_.reaffiliation_prob)) {
+          target = prev;
+        } else {
+          target = layout_rng_.pick(chain);
+          if (prev_valid && target != prev) ++stats_.reaffiliation_events;
+          // Forced moves (previous head vanished) also count: the member
+          // must re-affiliate regardless of the coin.
+          if (!prev_valid && prev != kNoCluster) ++stats_.reaffiliation_events;
+        }
+        view_.set_member(v, target);
+        if (freeze_graph_) {
+          degree_[v] = 1;
+          ++degree_[target];
+        }
+      }
+    }
+    if (!freeze_graph_) return;
+
+    const std::size_t path_len = path_.size();
+    GraphBuilder::fill_rows(
+        degree_,
+        [&](auto append) {
+          for (NodeId x = 0; x < n; ++x) {
+            const ClusterId h = view_.cluster_of(x);
+            if (!on_path(x)) {
+              // A member's head is a head of this phase, and the edge to it
+              // is the one entry of the member's row.
+              HINET_ENSURE(h < n && is_head_[h] && degree_[x] == 1,
+                           "member not affiliated with a head of this phase");
+              append(x, h);
+              append(h, x);
+              continue;
+            }
+            // A head is its own cluster; an affiliated relay's head is one
+            // of its path neighbours, so the path edge is its head edge.
+            const std::uint32_t p = path_pos_[x];
+            const bool left = p > 0 && path_[p - 1] == h;
+            const bool right = p + 1 < path_len && path_[p + 1] == h;
+            HINET_ENSURE(is_head_[x] ? h == x
+                                     : h == kNoCluster ||
+                                           ((left || right) && is_head_[h]),
+                         "backbone node not affiliated with itself or an "
+                         "adjacent head");
+            if (p > 0) append(path_[p - 1], x);
+            if (p + 1 < path_len) append(path_[p + 1], x);
+          }
+        },
+        stable_);
+  }
+
+  /// Threads the backbone path through layout_: chain heads with L-1
+  /// relays between neighbours, written into the view, is_head_, the path
+  /// bitmap and positions, and (as path degrees) degree_.
+  void lay_backbone() {
+    const std::size_t n = cfg_.nodes;
+    const auto l = static_cast<std::size_t>(cfg_.hop_l);
+    const std::vector<NodeId>& chain = layout_.chain;
+
+    is_head_.assign(n, 0);
+    for (NodeId h : chain) {
+      view_.set_head(h);
+      is_head_[h] = 1;
+    }
+    on_path_.assign((n + 63) / 64, 0);
     path_.clear();
-    for (std::size_t i = 0, relay_cursor = 0; i < layout_.chain.size(); ++i) {
-      path_.push_back(layout_.chain[i]);
-      if (i + 1 == layout_.chain.size()) break;
-      const NodeId right = layout_.chain[i + 1];
+    const std::size_t path_len = chain.size() + (chain.size() - 1) * (l - 1);
+    const auto place = [&](NodeId x) {
+      const std::size_t p = path_.size();
+      path_.push_back(x);
+      path_pos_[x] = static_cast<std::uint32_t>(p);
+      on_path_[x / 64] |= std::uint64_t{1} << (x % 64);
+      degree_[x] = (p > 0 ? 1u : 0u) + (p + 1 < path_len ? 1u : 0u);
+    };
+    for (std::size_t i = 0, relay_cursor = 0; i < chain.size(); ++i) {
+      place(chain[i]);
+      if (i + 1 == chain.size()) break;
       for (std::size_t hop = 1; hop < l; ++hop) {
         const NodeId relay = layout_.gateways[relay_cursor++];
         // Affiliate the relay with whichever chain head it is adjacent to;
         // middle relays of an L>3 backbone touch no head and stay
         // unaffiliated (the "at most one cluster" case).
         if (hop == 1) {
-          plan.view.set_member(relay, layout_.chain[i], /*gateway=*/true);
-          plan.head_of[relay] = layout_.chain[i];
+          view_.set_member(relay, chain[i], /*gateway=*/true);
         } else if (hop == l - 1) {
-          plan.view.set_member(relay, right, /*gateway=*/true);
-          plan.head_of[relay] = right;
+          view_.set_member(relay, chain[i + 1], /*gateway=*/true);
         } else {
-          plan.view.set_unaffiliated_gateway(relay);
+          view_.set_unaffiliated_gateway(relay);
         }
-        path_.push_back(relay);
+        place(relay);
       }
     }
-    path_pos_.assign(n, kOffPath);
-    for (std::size_t p = 0; p < path_.size(); ++p) {
-      path_pos_[path_[p]] = static_cast<std::uint32_t>(p);
-      degree_[path_[p]] = (p > 0 ? 1u : 0u) + (p + 1 < path_.size() ? 1u : 0u);
-    }
+    backbone_laid_ = true;
+  }
 
-    // Members: everyone not a head or relay.
-    for (NodeId v = 0; v < n; ++v) {
-      if (path_pos_[v] != kOffPath) continue;
-      const ClusterId prev = prev_head_of_[v];
-      ClusterId target = kNoCluster;
-      const bool prev_valid = prev != kNoCluster && is_head_[prev];
-      if (prev_valid && !layout_rng_.bernoulli(cfg_.reaffiliation_prob)) {
-        target = prev;
-      } else {
-        target = layout_rng_.pick(layout_.chain);
-        if (prev_valid && target != prev) ++stats_.reaffiliation_events;
-        // Forced moves (previous head vanished) also count: the member must
-        // re-affiliate regardless of the coin.
-        if (!prev_valid && prev != kNoCluster) ++stats_.reaffiliation_events;
-      }
-      plan.view.set_member(v, target);
-      plan.head_of[v] = target;
-      degree_[v] = 1;
-      ++degree_[target];
-    }
+  bool on_path(NodeId x) const { return (on_path_[x / 64] >> (x % 64)) & 1u; }
 
-    GraphBuilder::fill_rows(
-        degree_,
-        [&](auto append) {
-          for (NodeId x = 0; x < n; ++x) {
-            const std::uint32_t p = path_pos_[x];
-            if (p == kOffPath) {
-              append(x, plan.head_of[x]);
-              append(plan.head_of[x], x);
-              continue;
-            }
-            if (p > 0) append(path_[p - 1], x);
-            if (p + 1 < path_.size()) append(path_[p + 1], x);
-          }
-        },
-        plan.stable);
-    HINET_ENSURE(plan.view.validate(plan.stable).empty(),
-                 "generated phase hierarchy invalid");
+  /// The path degree of the node at path position p: its ≤ 2 neighbours.
+  std::uint32_t path_degree(std::uint32_t p) const {
+    return (p > 0 ? 1u : 0u) + (p + 1 < path_.size() ? 1u : 0u);
+  }
+
+  /// Each node's cluster in the current view, as the saved state stores it.
+  std::vector<ClusterId> affiliations() const {
+    std::vector<ClusterId> out(view_.node_count());
+    for (NodeId v = 0; v < out.size(); ++v) out[v] = view_.cluster_of(v);
+    return out;
   }
 
   HiNetConfig cfg_;
+  bool freeze_graph_;
   Rng layout_rng_;
   Rng churn_rng_;
   Rng head_rng_;
   std::vector<NodeId> head_set_;
-  std::vector<ClusterId> prev_head_of_;
   std::vector<char> ever_head_;
   BackboneLayout layout_;
-  PhasePlan plan_;
+  Graph stable_;        ///< the phase's backbone + member edges
+  HierarchyView view_;  ///< the phase's hierarchy (also the affiliation record)
   std::size_t phase_ = 0;
   HiNetTraceStats stats_;
 
   // Buffers reused from phase to phase and round to round, so steady-state
-  // synthesis allocates nothing proportional to n.
-  static constexpr std::uint32_t kOffPath = static_cast<std::uint32_t>(-1);
-  const HierarchyView blank_view_;  ///< every node an unaffiliated member
+  // synthesis allocates nothing proportional to n.  When backbone_laid_ is
+  // set, is_head_, path_, path_pos_, on_path_ and the path nodes' view
+  // entries and degrees describe layout_ (lay_backbone wrote them).
+  bool backbone_laid_ = false;
   std::vector<char> is_head_;
   std::vector<NodeId> pool_;
-  std::vector<NodeId> path_;            ///< the backbone path, end to end
-  std::vector<std::uint32_t> path_pos_; ///< index in path_, or kOffPath
+  std::vector<NodeId> path_;             ///< the backbone path, end to end
+  std::vector<std::uint64_t> on_path_;   ///< bit x: x is on path_
+  std::vector<std::uint32_t> path_pos_;  ///< index in path_ (path nodes only)
   std::vector<std::uint32_t> degree_;   ///< stable-graph row lengths
   GraphBuilder churn_;  ///< the round's ephemeral edges
 };
@@ -486,7 +556,9 @@ HiNetTraceStats finalize_stats(const HiNetConfig& cfg, HiNetTraceStats stats,
 class HiNetStreamCore {
  public:
   HiNetStreamCore(const HiNetConfig& cfg, std::size_t window)
-      : cfg_(cfg), driver_(cfg), horizon_(cfg.phases * cfg.phase_length) {
+      : cfg_(cfg),
+        driver_(cfg, /*freeze_graph=*/true),
+        horizon_(cfg.phases * cfg.phase_length) {
     HINET_REQUIRE(window >= 1, "ring window must hold at least one round");
     ring_.resize(std::min(window, horizon_));
   }
@@ -590,7 +662,7 @@ class HiNetStreamHierarchy final : public HierarchyProvider {
 }  // namespace
 
 HiNetTraceStats hinet_trace_stats(const HiNetConfig& cfg) {
-  PhaseDriver driver(cfg);
+  PhaseDriver driver(cfg, /*freeze_graph=*/false);
   double member_round_sum = 0.0;
   for (std::size_t phase = 0;; ++phase) {
     member_round_sum += static_cast<double>(driver.view().member_count()) *
@@ -615,7 +687,7 @@ HiNetStream make_hinet_stream(const HiNetConfig& cfg, std::size_t window) {
 }
 
 HiNetTrace make_hinet_trace(const HiNetConfig& cfg) {
-  PhaseDriver driver(cfg);
+  PhaseDriver driver(cfg, /*freeze_graph=*/true);
 
   std::vector<Graph> graphs;
   std::vector<HierarchyView> views;
@@ -636,13 +708,20 @@ HiNetTrace make_hinet_trace(const HiNetConfig& cfg) {
   const HiNetTraceStats stats =
       finalize_stats(cfg, driver.stats(), member_round_sum);
 
-  // No whole-trace re-validation here: every phase already passed
-  // plan.view.validate(plan.stable) at construction, each round's view IS
-  // its phase's validated view, and each round's graph is plan.stable plus
-  // churn edges — add_churn_edges only ever ADDS edges, and the per-round
-  // check at hop limit 1 is pure edge existence (has_edge), which is
-  // monotone under edge addition.  Re-running Ctvg::validate() per round
-  // was the single largest cost of trace generation and could never fire.
+  // No whole-trace re-validation here: every phase's view was already
+  // checked against its stable graph, node by node, by the pass that froze
+  // that graph (PhaseDriver::plan_phase: each member's head is a head and
+  // its row's one entry, each backbone node is its own head or sits next
+  // to its head on the path — what HierarchyView::validate checks at hop
+  // limit 1).  Each round's view IS its phase's checked view, and each
+  // round's graph is the stable graph plus churn edges — add_churn_edges
+  // only ever ADDS edges, and the check at hop limit 1 is pure edge
+  // existence, which is monotone under edge addition.  Re-running
+  // Ctvg::validate() per round was the single largest cost of trace
+  // generation and could never fire.  The full validate still checks
+  // hierarchies that come from elsewhere (Ctvg::validate, which trace_tool
+  // runs on loaded traces; cluster maintenance) and, in the tests, every
+  // synthesized round.
   Ctvg ctvg(GraphSequence(std::move(graphs)),
             HierarchySequence(std::move(views)));
   return HiNetTrace{std::move(ctvg), stats};

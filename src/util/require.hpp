@@ -25,16 +25,19 @@ class InvariantError : public std::logic_error {
 };
 
 namespace detail {
-[[noreturn]] inline void throw_precondition(const char* expr, const char* file,
-                                            int line, const std::string& msg) {
+// The throw paths are cold and never inlined, so a HINET_REQUIRE in a hot
+// loop costs its compare and branch; the message formatting stays out of
+// line.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_precondition(
+    const char* expr, const char* file, int line, const std::string& msg) {
   std::ostringstream os;
   os << "precondition failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
   throw PreconditionError(os.str());
 }
 
-[[noreturn]] inline void throw_invariant(const char* expr, const char* file,
-                                         int line, const std::string& msg) {
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_invariant(
+    const char* expr, const char* file, int line, const std::string& msg) {
   std::ostringstream os;
   os << "invariant failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;

@@ -1,29 +1,6 @@
 #include "util/rng.hpp"
 
-#ifdef _MSC_VER
-#include <intrin.h>
-#endif
-
 namespace hinet {
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  HINET_REQUIRE(bound > 0, "below() with zero bound");
-  // Lemire's nearly-divisionless method.  __int128 is a GCC/Clang extension,
-  // so the typedef needs __extension__ to stay -Wpedantic-clean.
-  __extension__ typedef unsigned __int128 u128;
-  std::uint64_t x = (*this)();
-  u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<u128>(x) * static_cast<u128>(bound);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   HINET_REQUIRE(lo <= hi, "uniform_int() with inverted range");
@@ -35,20 +12,9 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(below(span));
 }
 
-double Rng::uniform01() {
-  // 53 high-quality bits -> [0, 1) with full double precision.
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform_real(double lo, double hi) {
   HINET_REQUIRE(lo <= hi, "uniform_real() with inverted range");
   return lo + (hi - lo) * uniform01();
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
 }
 
 std::vector<std::size_t> Rng::sample(std::size_t population,

@@ -66,21 +66,48 @@ class Rng {
     return result;
   }
 
+  // below, uniform01 and bernoulli are inline: trace synthesis draws them
+  // once or twice per node of every phase.
+
   /// Uniform integer in [0, bound).  Uses Lemire's multiply-shift rejection
   /// method to avoid modulo bias.
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    HINET_REQUIRE(bound > 0, "below() with zero bound");
+    // Lemire's nearly-divisionless method.  __int128 is a GCC/Clang
+    // extension, so the typedef needs __extension__ to stay -Wpedantic-clean.
+    __extension__ typedef unsigned __int128 u128;
+    std::uint64_t x = (*this)();
+    u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = (*this)();
+        m = static_cast<u128>(x) * static_cast<u128>(bound);
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1).
-  double uniform01();
+  double uniform01() {
+    // 53 high-quality bits -> [0, 1) with full double precision.
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform_real(double lo, double hi);
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform01() < p;
+  }
 
   /// Fisher-Yates shuffle.
   template <typename T>

@@ -6,11 +6,16 @@
 //   - RecordedDigests: for randomised (T, L)-HiNet configs, an FNV-1a
 //     digest of every round's Graph::edges() equals the value recorded
 //     from the adjacency-vector Graph this CSR Graph replaced;
+//   - RecordedViewDigests: a digest of every streamed round's hierarchy
+//     view equals the value recorded while each phase was still checked
+//     by a whole-view validate, so moving that check into the planning
+//     passes changed no role and no affiliation;
 //   - StreamedRoundsMatchMaterialized: each config's streamed rounds equal
 //     its materialized rounds edge for edge;
 //   - PhaseFreezeIsWellFormedCsr: the phase plan's row-order CSR freeze
 //     yields sorted, duplicate-free, symmetric rows — every realized round
-//     equals the graph rebuilt from its own edge list;
+//     equals the graph rebuilt from its own edge list — and every round's
+//     view passes the full HierarchyView::validate against its graph;
 //   - the aliasing cases: a reference held across the next graph_at call
 //     still shows its own round, because the next round goes to the other
 //     slot of the default window of 2.
@@ -21,16 +26,16 @@
 #include <vector>
 
 #include "core/hinet_generator.hpp"
+#include "core/hinet_random_configs.hpp"
 #include "graph/generators.hpp"
 #include "sim/faults.hpp"
-#include "util/rng.hpp"
 
 namespace hinet {
 namespace {
 
-constexpr std::size_t kConfigs = 24;
+constexpr std::size_t kConfigs = kRandomHiNetConfigs;
 
-/// Digests of make_hinet_trace(random_config(i)), i = 0..kConfigs-1,
+/// Digests of make_hinet_trace(random_hinet_config(i)), i = 0..kConfigs-1,
 /// recorded with the adjacency-vector Graph (build view + lazy CSR).
 constexpr std::uint64_t kRecorded[kConfigs] = {
     0x288c470fd1bef7d9ULL, 0xaa1d208beea98f72ULL, 0x609affbdea12ec3dULL,
@@ -43,34 +48,19 @@ constexpr std::uint64_t kRecorded[kConfigs] = {
     0x78cae4281558a2caULL, 0x9db87ee2b612f5fcULL, 0x9d28251b28bffcebULL,
 };
 
-HiNetConfig random_config(std::size_t index) {
-  Rng rng(0x5eed0000u + index);
-  HiNetConfig cfg;
-  cfg.heads = 1 + rng.below(8);
-  cfg.hop_l = 1 + static_cast<int>(rng.below(4));
-  cfg.nodes = hinet_min_nodes(cfg.heads, cfg.hop_l) + rng.below(40);
-  cfg.phase_length = 1 + rng.below(4);
-  cfg.phases = 1 + rng.below(6);
-  cfg.churn_edges = rng.below(7);
-  const double probs[] = {0.0, 0.1, 0.5, 1.0};
-  cfg.reaffiliation_prob = probs[rng.below(4)];
-  cfg.head_churn_prob = probs[rng.below(4)];
-  cfg.backbone_rewire_prob = probs[rng.below(4)];
-  cfg.stable_heads = rng.bernoulli(0.25);
-  cfg.seed = rng();
-  return cfg;
-}
-
-std::string describe(const HiNetConfig& cfg) {
-  std::ostringstream os;
-  os << "n=" << cfg.nodes << " heads=" << cfg.heads << " L=" << cfg.hop_l
-     << " T=" << cfg.phase_length << " phases=" << cfg.phases
-     << " churn=" << cfg.churn_edges << " reaff=" << cfg.reaffiliation_prob
-     << " head_churn=" << cfg.head_churn_prob
-     << " rewire=" << cfg.backbone_rewire_prob
-     << " stable_heads=" << cfg.stable_heads;
-  return os.str();
-}
+/// Digests of every streamed round's view — each node's (role, cluster)
+/// — for random_hinet_config(i), i = 0..kConfigs-1, recorded while each
+/// phase was still checked by a whole-view HierarchyView::validate.
+constexpr std::uint64_t kRecordedViews[kConfigs] = {
+    0x11201db5cbb2f2a5ULL, 0x15e8e356b8362de1ULL, 0xcaf7124b87368305ULL,
+    0xc862625a84d5d564ULL, 0x44b16d35e10f209cULL, 0x408491babd0dd7e4ULL,
+    0xa58532a30e384da5ULL, 0x4aa4add40afdd6c4ULL, 0xc551aeaceb0c125ULL,
+    0xb1b50d31baf22fa4ULL, 0x1307c2551cafbbdcULL, 0x3e9338036aa1bdb8ULL,
+    0x37fbe45711081f24ULL, 0xf035d8b6078d1f2dULL, 0x879c2bb5ba46d0e5ULL,
+    0xe3b0bcd0320939f5ULL, 0x74a74a13534f6965ULL, 0xadea01b8705ded25ULL,
+    0x2c5f54b2e27142c5ULL, 0x155aa5d1acd788b0ULL, 0xa12c7abbff15db25ULL,
+    0x12aabb258503bee5ULL, 0xd0cfdb2183820aa3ULL, 0xadd9b89635e00f69ULL,
+};
 
 void fnv_mix(std::uint64_t& h, std::uint64_t word) {
   for (int byte = 0; byte < 8; ++byte) {
@@ -95,7 +85,7 @@ std::uint64_t trace_digest(DynamicNetwork& net, std::size_t rounds) {
 TEST(SynthesisEquivalence, RecordedDigests) {
   std::ostringstream actual;
   for (std::size_t i = 0; i < kConfigs; ++i) {
-    const HiNetConfig cfg = random_config(i);
+    const HiNetConfig cfg = random_hinet_config(i);
     HiNetTrace trace = make_hinet_trace(cfg);
     const std::uint64_t got =
         trace_digest(trace.ctvg.topology(), cfg.phases * cfg.phase_length);
@@ -105,9 +95,37 @@ TEST(SynthesisEquivalence, RecordedDigests) {
   if (HasFailure()) ADD_FAILURE() << "computed digests: " << actual.str();
 }
 
+std::uint64_t view_digest(HierarchyProvider& views, std::size_t rounds) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (Round r = 0; r < rounds; ++r) {
+    const HierarchyView& view = views.hierarchy_at(r);
+    fnv_mix(h, r);
+    fnv_mix(h, view.node_count());
+    for (NodeId v = 0; v < view.node_count(); ++v) {
+      fnv_mix(h, (std::uint64_t{static_cast<std::uint8_t>(view.role(v))}
+                  << 32) |
+                     view.cluster_of(v));
+    }
+  }
+  return h;
+}
+
+TEST(SynthesisEquivalence, RecordedViewDigests) {
+  std::ostringstream actual;
+  for (std::size_t i = 0; i < kConfigs; ++i) {
+    const HiNetConfig cfg = random_hinet_config(i);
+    HiNetStream stream = make_hinet_stream(cfg);
+    const std::uint64_t got = view_digest(*stream.hierarchy, stream.rounds);
+    actual << "0x" << std::hex << got << "ULL, ";
+    EXPECT_EQ(got, kRecordedViews[i]) << "config " << i << ": "
+                                      << describe(cfg);
+  }
+  if (HasFailure()) ADD_FAILURE() << "computed digests: " << actual.str();
+}
+
 TEST(SynthesisEquivalence, StreamedRoundsMatchMaterialized) {
   for (std::size_t i = 0; i < kConfigs; ++i) {
-    const HiNetConfig cfg = random_config(i);
+    const HiNetConfig cfg = random_hinet_config(i);
     HiNetTrace trace = make_hinet_trace(cfg);
     HiNetStream stream = make_hinet_stream(cfg);
     for (Round r = 0; r < stream.rounds; ++r) {
@@ -123,19 +141,24 @@ TEST(SynthesisEquivalence, StreamedRoundsMatchMaterialized) {
 
 /// Every round of cfg's stream equals Graph(n, edges()): the edge-list
 /// constructor sorts, dedupes and symmetrizes, so any unsorted, duplicate
-/// or one-sided row in the synthesized CSR makes the two differ.
+/// or one-sided row in the synthesized CSR makes the two differ.  Every
+/// round's view also passes the full validate against that graph: the
+/// generator checks each phase inside its own planning passes, and this
+/// is the whole-view check those in-pass checks stand in for.
 void expect_well_formed_rounds(const HiNetConfig& cfg) {
   HiNetStream stream = make_hinet_stream(cfg);
   for (Round r = 0; r < stream.rounds; ++r) {
     const Graph& g = stream.topology->graph_at(r);
     ASSERT_EQ(Graph(cfg.nodes, g.edges()), g)
         << "round " << r << ": " << describe(cfg);
+    ASSERT_EQ(stream.hierarchy->hierarchy_at(r).validate(g), "")
+        << "round " << r << ": " << describe(cfg);
   }
 }
 
 TEST(SynthesisEquivalence, PhaseFreezeIsWellFormedCsr) {
   for (std::size_t i = 0; i < kConfigs; ++i) {
-    HiNetConfig cfg = random_config(i);
+    HiNetConfig cfg = random_hinet_config(i);
     expect_well_formed_rounds(cfg);
     // At the minimum node count every node is a head or a relay: the
     // stable graph is the backbone path alone.

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/hinet_generator.hpp"
+#include "core/hinet_random_configs.hpp"
 #include "graph/adversary.hpp"
 #include "graph/dynamic.hpp"
 #include "graph/markovian.hpp"
@@ -195,6 +196,16 @@ TEST(StreamingConformance, TraceStateRoundTripsMidStream) {
   }
 }
 
+void expect_same_stats(const HiNetTraceStats& streamed,
+                       const HiNetTraceStats& materialized) {
+  EXPECT_EQ(streamed.theta, materialized.theta);
+  EXPECT_EQ(streamed.reaffiliation_events, materialized.reaffiliation_events);
+  EXPECT_EQ(streamed.head_changes, materialized.head_changes);
+  EXPECT_DOUBLE_EQ(streamed.mean_members, materialized.mean_members);
+  EXPECT_DOUBLE_EQ(streamed.mean_reaffiliations,
+                   materialized.mean_reaffiliations);
+}
+
 TEST(StreamingConformance, HiNetStreamMatchesMaterializedTrace) {
   HiNetConfig cfg;
   cfg.nodes = 40;
@@ -225,13 +236,19 @@ TEST(StreamingConformance, HiNetStreamMatchesMaterializedTrace) {
               trace.ctvg.hierarchy_at(rounds + 3));
 
   // The dry planning pass reports the exact realized-trace statistics.
-  EXPECT_EQ(stream.stats.theta, trace.stats.theta);
-  EXPECT_EQ(stream.stats.reaffiliation_events,
-            trace.stats.reaffiliation_events);
-  EXPECT_EQ(stream.stats.head_changes, trace.stats.head_changes);
-  EXPECT_DOUBLE_EQ(stream.stats.mean_members, trace.stats.mean_members);
-  EXPECT_DOUBLE_EQ(stream.stats.mean_reaffiliations,
-                   trace.stats.mean_reaffiliations);
+  expect_same_stats(stream.stats, trace.stats);
+}
+
+TEST(StreamingConformance, HiNetStreamStatsMatchOnRandomConfigs) {
+  // The stats pass plans each phase's affiliations without freezing its
+  // graph; over the shared random configs (every L, churn probability and
+  // head-stability mode) it must still report the realized trace's stats.
+  for (std::size_t i = 0; i < kRandomHiNetConfigs; ++i) {
+    const HiNetConfig cfg = random_hinet_config(i);
+    SCOPED_TRACE("config " + std::to_string(i) + ": " + describe(cfg));
+    expect_same_stats(make_hinet_stream(cfg).stats,
+                      make_hinet_trace(cfg).stats);
+  }
 }
 
 TEST(StreamingConformance, HiNetStreamBackwardAccessReplays) {
@@ -290,6 +307,50 @@ TEST(StreamingConformance, HiNetStateWithARepeatedBackboneNodeIsRejected) {
   for (int byte = 0; byte < 4; ++byte) {
     driver[at + static_cast<std::size_t>(byte)] =
         static_cast<std::uint8_t>(first_head >> (8 * byte));
+  }
+  ByteWriter bad;
+  bad.u64(frontier);
+  bad.blob(driver);
+
+  HiNetStream fresh = make_hinet_stream(cfg);
+  ByteReader r(bad.buffer(), "trace state");
+  EXPECT_THROW(dynamic_cast<TraceStateSource&>(*fresh.topology)
+                   .restore_trace_state(r),
+               IoError);
+}
+
+TEST(StreamingConformance, HiNetStateWithDisagreeingAffiliationsIsRejected) {
+  // The driver reads each member's previous head from the restored view,
+  // so stored affiliations that disagree with the view are corrupt state:
+  // restore refuses them instead of silently following one copy.
+  HiNetConfig cfg;
+  cfg.nodes = 30;
+  cfg.heads = 4;
+  cfg.phase_length = 1;
+  cfg.phases = 6;
+  cfg.seed = 5;
+  HiNetStream stream = make_hinet_stream(cfg);
+  (void)stream.topology->graph_at(2);
+  ByteWriter saved;
+  dynamic_cast<TraceStateSource&>(*stream.topology).save_trace_state(saved);
+
+  ByteReader outer(saved.buffer(), "trace state");
+  const std::uint64_t frontier = outer.u64();
+  const auto blob = outer.blob();
+  std::vector<std::uint8_t> driver(blob.begin(), blob.end());
+  // Three RNG states and the phase, the head set, then the previous
+  // affiliations: rewrite node 0's entry.
+  ByteReader walk(driver, "driver state");
+  for (int word = 0; word < 13; ++word) (void)walk.u64();
+  const std::uint64_t heads = walk.u64();
+  for (std::uint64_t i = 0; i < heads; ++i) (void)walk.u32();
+  ASSERT_EQ(walk.u64(), cfg.nodes);
+  const std::size_t at = driver.size() - walk.remaining();
+  const std::uint32_t old = walk.u32();
+  const std::uint32_t changed = old == kNoCluster ? 0u : kNoCluster;
+  for (int byte = 0; byte < 4; ++byte) {
+    driver[at + static_cast<std::size_t>(byte)] =
+        static_cast<std::uint8_t>(changed >> (8 * byte));
   }
   ByteWriter bad;
   bad.u64(frontier);
