@@ -1,210 +1,109 @@
 #include "analysis/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <sstream>
-
 #include "sim/snapshot.hpp"
 
 namespace hinet {
 
 namespace {
 
-// u32 magic + u64 payload length + u32 crc
-constexpr std::size_t kRecordHeaderBytes = 4 + 8 + 4;
-constexpr std::size_t kFileHeaderBytes = 4 + 2 + 2;
+constexpr const char* kWhat = "journal";
 
-std::string errno_detail(const std::string& what, const std::string& path) {
-  std::ostringstream os;
-  os << what << " " << path << ": " << std::strerror(errno);
-  return os.str();
+struct JournalRecord {
+  std::uint64_t seed = 0;
+  ReplicateResult result;
+};
+
+/// The writer's handle when the journal is free; a read-only view of it
+/// when another writer holds it.
+FramedLog open_log(std::string path) {
+  try {
+    return FramedLog(path, ExperimentJournal::kMagic,
+                     ExperimentJournal::kVersion,
+                     ExperimentJournal::kRecordMagic, kWhat,
+                     FramedLog::Access::kExclusive);
+  } catch (const ConcurrentWriterError&) {
+    return FramedLog(std::move(path), ExperimentJournal::kMagic,
+                     ExperimentJournal::kVersion,
+                     ExperimentJournal::kRecordMagic, kWhat,
+                     FramedLog::Access::kReadOnly);
+  }
+}
+
+JournalRecord decode(std::span<const std::uint8_t> payload) {
+  ByteReader r(payload, "journal record");
+  JournalRecord rec;
+  rec.seed = r.u64();
+  rec.result.wall_ms = r.f64();
+  rec.result.metrics = load_metrics(r);
+  r.expect_done();
+  return rec;
 }
 
 }  // namespace
 
 ExperimentJournal::ExperimentJournal(std::string path)
-    : path_(std::move(path)) {
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) throw IoError(errno_detail("cannot open journal", path_));
-
-  std::vector<std::uint8_t> raw;
-  std::uint8_t chunk[4096];
-  ssize_t got = 0;
-  while ((got = ::read(fd_, chunk, sizeof chunk)) > 0) {
-    raw.insert(raw.end(), chunk, chunk + got);
-  }
-  if (got < 0) {
-    const IoError err(errno_detail("read error on journal", path_));
-    ::close(fd_);
-    fd_ = -1;
-    throw err;
-  }
-
-  try {
-    replay_and_truncate(std::move(raw));
-  } catch (...) {
-    ::close(fd_);
-    fd_ = -1;
-    throw;
-  }
-}
-
-ExperimentJournal::~ExperimentJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void ExperimentJournal::replay_and_truncate(std::vector<std::uint8_t> raw) {
-  if (raw.empty()) {
-    // Fresh journal: stamp the header so a resuming process can tell this
-    // file from arbitrary data.
-    ByteWriter w;
-    w.u32(kMagic);
-    w.u16(kVersion);
-    w.u16(0);  // reserved
-    write_all(w.buffer().data(), w.size());
-    if (::fdatasync(fd_) != 0) {
-      throw IoError(errno_detail("fdatasync failed on journal", path_));
-    }
-    // The journal file itself was just created: make its directory entry
-    // durable too, or a power failure could forget the whole journal while
-    // the sweep believes every append reached disk.
-    fsync_parent_directory(path_);
-    return;
-  }
-
-  // The header is never the tail of a crashed append — if it is wrong the
-  // file simply is not this journal, so refuse instead of "salvaging" all
-  // of someone else's data away.
-  ByteReader header(raw, "journal header (" + path_ + ")");
-  if (raw.size() < kFileHeaderBytes) {
-    std::ostringstream os;
-    os << "journal file " << path_ << " truncated: " << raw.size()
-       << " byte(s) is shorter than the " << kFileHeaderBytes
-       << "-byte header";
-    throw IoError(os.str());
-  }
-  const std::uint32_t got_magic = header.u32();
-  if (got_magic != kMagic) {
-    std::ostringstream os;
-    os << "journal file " << path_ << " has wrong magic 0x" << std::hex
-       << got_magic << " (expected 0x" << kMagic
-       << ") — not an experiment journal";
-    throw IoError(os.str());
-  }
-  const std::uint16_t got_version = header.u16();
-  if (got_version != kVersion) {
-    std::ostringstream os;
-    os << "journal file " << path_ << " has format version " << got_version
-       << " but this build reads version " << kVersion
-       << " — re-run the sweep with a fresh journal path";
-    throw IoError(os.str());
-  }
-  header.u16();  // reserved
-
-  // Replay records.  Anything that fails to parse is treated as the torn
-  // tail of a crashed append: every record *before* it was fsynced and
-  // CRC-checked, so the prefix is trustworthy and the rest is dropped.
-  std::size_t valid_end = kFileHeaderBytes;
-  ByteReader r(raw, "journal (" + path_ + ")");
-  r.bytes(kFileHeaderBytes);
-  while (!r.done()) {
+    : log_(open_log(std::move(path))) {
+  const std::vector<std::vector<std::uint8_t>>& records = log_.records();
+  for (std::size_t i = 0; i < records.size(); ++i) {
     try {
-      if (r.u32() != kRecordMagic) break;
-      const std::uint64_t len = r.u64();
-      const std::uint32_t stored_crc = r.u32();
-      if (len > r.remaining()) break;
-      const auto payload = r.bytes(static_cast<std::size_t>(len));
-      if (crc32(payload) != stored_crc) break;
-      ByteReader pr(payload, "journal record");
-      const std::uint64_t seed = pr.u64();
-      ReplicateResult result;
-      result.wall_ms = pr.f64();
-      result.metrics = load_metrics(pr);
-      pr.expect_done();
-      entries_.insert_or_assign(seed, std::move(result));
-    } catch (const IoError&) {
-      break;
-    }
-    valid_end = raw.size() - r.remaining();
-  }
-  dropped_bytes_ = raw.size() - valid_end;
-
-  if (dropped_bytes_ > 0) {
-    // Truncate the torn tail so subsequent appends extend a valid file.
-    if (::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0) {
-      throw IoError(errno_detail("cannot truncate corrupt journal tail of",
-                                 path_));
-    }
-    if (::lseek(fd_, 0, SEEK_END) < 0) {
-      throw IoError(errno_detail("lseek failed on journal", path_));
+      index_.insert_or_assign(decode(records[i]).seed, i);
+    } catch (const IoError& e) {
+      throw IoError("journal " + log_.path() + " record " +
+                    std::to_string(i) +
+                    " has a valid CRC but does not decode (" + e.what() +
+                    ") — no crash writes such a record; it was written "
+                    "in another format");
     }
   }
 }
 
-void ExperimentJournal::write_all(const std::uint8_t* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t wrote = ::write(fd_, data + done, len - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      throw IoError(errno_detail("write failed on journal", path_));
-    }
-    done += static_cast<std::size_t>(wrote);
-  }
+bool ExperimentJournal::writable() const {
+  return log_.access() != FramedLog::Access::kReadOnly;
 }
 
 std::size_t ExperimentJournal::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
+  return index_.size();
 }
 
 bool ExperimentJournal::contains(std::uint64_t seed) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.find(seed) != entries_.end();
+  return index_.find(seed) != index_.end();
 }
 
 std::optional<ReplicateResult> ExperimentJournal::lookup(
     std::uint64_t seed) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(seed);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
+  const auto it = index_.find(seed);
+  if (it == index_.end()) return std::nullopt;
+  return decode(log_.records()[it->second]).result;
 }
 
 std::vector<std::uint64_t> ExperimentJournal::seeds() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::uint64_t> out;
-  out.reserve(entries_.size());
-  for (const auto& [seed, result] : entries_) out.push_back(seed);
+  out.reserve(index_.size());
+  for (const auto& [seed, record] : index_) out.push_back(seed);
   return out;
 }
 
 void ExperimentJournal::append(std::uint64_t seed,
                                const ReplicateResult& result) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  HINET_REQUIRE(entries_.find(seed) == entries_.end(),
+  HINET_REQUIRE(index_.find(seed) == index_.end(),
                 "journal already holds this replicate seed — the supervised "
                 "runner must skip recorded seeds instead of re-running them");
-
+  if (!writable()) {
+    throw ConcurrentWriterError(
+        "journal " + log_.path() +
+        " is held by another writer — this handle only reads it");
+  }
   ByteWriter payload;
   payload.u64(seed);
   payload.f64(result.wall_ms);
   save_metrics(payload, result.metrics);
-
-  ByteWriter record;
-  record.u32(kRecordMagic);
-  record.u64(payload.size());
-  record.u32(crc32(payload.buffer()));
-  record.bytes(payload.buffer());
-
-  write_all(record.buffer().data(), record.size());
-  if (::fdatasync(fd_) != 0) {
-    throw IoError(errno_detail("fdatasync failed on journal", path_));
-  }
-  entries_.insert_or_assign(seed, result);
+  log_.append(payload.buffer());
+  index_.insert_or_assign(seed, log_.records().size() - 1);
 }
 
 }  // namespace hinet

@@ -9,19 +9,25 @@
 // sweep aggregates byte-identically to an uninterrupted one — pinned by
 // tests/analysis/test_journal.cpp and the CI kill-and-resume smoke step.
 //
-// On-disk format (little-endian):
+// On disk the journal is a FramedLog (util/framed_log.hpp) with file magic
+// 'HJNL', version 1 and record magic 'HJRD'; this class only encodes and
+// decodes the record payload (little-endian):
 //
-//   file header : u32 magic 'HJNL' · u16 version · u16 reserved(0)
-//   record      : u32 record magic · u64 payload length · u32 crc32(payload)
-//                 · payload { u64 seed · f64 wall_ms · SimMetrics }
+//   payload : u64 seed · f64 wall_ms · SimMetrics (sim/snapshot.hpp)
 //
-// Appends are write()-then-fdatasync, so a record either exists completely
-// or not at all as far as a resuming process is concerned.  Opening the
-// journal replays every record; a torn or corrupt *tail* (the expected
-// shape of a crash mid-append) is truncated away and reported via
-// dropped_bytes() — the intact prefix is salvaged, never discarded.
-// Corruption that cannot be the tail of a sane journal (bad file header,
-// wrong version) throws IoError instead: that file is not this journal.
+// Everything else is FramedLog's discipline: appends are
+// write()-then-fdatasync, a torn or corrupt *tail* is truncated at open
+// and counted in dropped_bytes(), and a wrong file header or version
+// throws IoError.  A record whose CRC is valid but whose payload does not
+// decode also throws IoError: the CRC proves those are the bytes that
+// were written, so no crash produced them and dropping them would hide a
+// format mismatch.
+//
+// The journal is single-writer.  A handle takes FramedLog's exclusive
+// writer lock at open; a second handle on a journal another handle or
+// process holds opens as a read-only view of the records the holder has
+// made durable: writable() is false and append() throws
+// ConcurrentWriterError, so two writers can never interleave frames.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +38,7 @@
 #include <vector>
 
 #include "analysis/experiment.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 
@@ -43,15 +50,19 @@ class ExperimentJournal {
 
   /// Opens (creating if absent) and replays the journal at `path`.
   /// Throws IoError when the file exists but is not a journal of this
-  /// version, or on I/O failure.  A corrupt tail is truncated and counted
-  /// in dropped_bytes().
+  /// version, when a CRC-valid record does not decode, or on I/O failure.
+  /// A corrupt tail is truncated and counted in dropped_bytes().  When
+  /// another writer holds the journal, the handle is a read-only view.
   explicit ExperimentJournal(std::string path);
-  ~ExperimentJournal();
 
   ExperimentJournal(const ExperimentJournal&) = delete;
   ExperimentJournal& operator=(const ExperimentJournal&) = delete;
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
+
+  /// False when another writer held the journal at open: this handle
+  /// then only reads, and append() throws ConcurrentWriterError.
+  bool writable() const;
 
   /// Number of completed replicates on record.
   std::size_t size() const;
@@ -73,17 +84,14 @@ class ExperimentJournal {
 
   /// Bytes of torn/corrupt tail dropped when the journal was opened
   /// (0 for a cleanly written file).
-  std::size_t dropped_bytes() const { return dropped_bytes_; }
+  std::size_t dropped_bytes() const { return log_.dropped_bytes(); }
 
  private:
-  void replay_and_truncate(std::vector<std::uint8_t> raw);
-  void write_all(const std::uint8_t* data, std::size_t len);
-
   mutable std::mutex mutex_;
-  std::string path_;
-  int fd_ = -1;
-  std::map<std::uint64_t, ReplicateResult> entries_;
-  std::size_t dropped_bytes_ = 0;
+  FramedLog log_;
+  /// seed → index of its record in log_.records(); a seed recorded twice
+  /// resolves to its last record.
+  std::map<std::uint64_t, std::size_t> index_;
 };
 
 }  // namespace hinet

@@ -69,10 +69,11 @@ std::size_t SupervisedBatch::completed() const {
 }
 
 SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
-                                          std::size_t repetitions,
-                                          std::uint64_t base_seed,
-                                          std::size_t jobs,
+                                          const ExperimentOptions& options,
                                           const SupervisorPolicy& policy) {
+  const std::size_t repetitions = options.repetitions;
+  const std::uint64_t base_seed = options.base_seed;
+  const std::size_t jobs = options.policy.effective_jobs();
   HINET_REQUIRE(repetitions >= 1, "need at least one repetition");
   HINET_REQUIRE(
       repetitions - 1 <= std::numeric_limits<std::uint64_t>::max() - base_seed,
@@ -80,7 +81,13 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
       "2^64, which would alias replicates onto low seeds and correlate "
       "'independent' repetitions — lower the base seed or the repetition "
       "count");
-  if (jobs == 0) jobs = default_jobs();
+  // Fail before running anything: a read-only journal would refuse every
+  // append only after its replicate had been simulated.
+  if (policy.journal != nullptr && !policy.journal->writable()) {
+    throw ConcurrentWriterError("journal " + policy.journal->path() +
+                                " is held by another writer; retry after "
+                                "it closes");
+  }
 
   SupervisedBatch batch;
   batch.slots.resize(repetitions);
@@ -183,14 +190,6 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
   return batch;
 }
 
-SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
-                                          const ExperimentOptions& options,
-                                          const SupervisorPolicy& policy) {
-  return run_replicates_supervised(factory, options.repetitions,
-                                   options.base_seed,
-                                   options.policy.effective_jobs(), policy);
-}
-
 AggregateResult aggregate_supervised(const SupervisedBatch& batch,
                                      double batch_seconds, std::size_t jobs) {
   std::vector<ReplicateResult> ok;
@@ -232,18 +231,6 @@ AggregateResult run_experiment_supervised(const SpecFactory& factory,
     throw ReplicateBatchError(std::move(failures));
   }
   return aggregate_supervised(batch, seconds, jobs);
-}
-
-AggregateResult run_experiment_supervised(const SpecFactory& factory,
-                                          std::size_t repetitions,
-                                          std::uint64_t base_seed,
-                                          std::size_t jobs,
-                                          const SupervisorPolicy& policy) {
-  return run_experiment_supervised(
-      factory,
-      ExperimentOptions{repetitions, base_seed,
-                        ExecutionPolicy::threaded(jobs)},
-      policy);
 }
 
 namespace {

@@ -126,19 +126,12 @@ struct SupervisedBatch {
 
 /// Executes the batch under the policy.  Never throws for per-replicate
 /// failures (they land in `failures`); does throw for batch-level caller
-/// errors (zero repetitions, seed overflow) and journal open problems.
+/// errors (zero repetitions, seed overflow) and, before running anything,
+/// ConcurrentWriterError for a journal another writer holds.
 ///
 /// options.policy sets the worker-pool width (serial = one worker).
 SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
-                                          const SupervisorPolicy& policy);
-
-/// Historical signature: Threaded{jobs} execution (jobs == 1 behaves
-/// serially, 0 = default_jobs()).  Prefer the options form.
-SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
-                                          std::size_t repetitions,
-                                          std::uint64_t base_seed,
-                                          std::size_t jobs,
                                           const SupervisorPolicy& policy);
 
 /// Aggregates a supervised batch: statistics over the successful slots in
@@ -155,14 +148,6 @@ AggregateResult aggregate_supervised(const SupervisedBatch& batch,
 /// sweep aggregates byte-identically to a serial one.
 AggregateResult run_experiment_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
-                                          const SupervisorPolicy& policy);
-
-/// Historical signature: Threaded{jobs} execution.  Prefer the options
-/// form.
-AggregateResult run_experiment_supervised(const SpecFactory& factory,
-                                          std::size_t repetitions,
-                                          std::uint64_t base_seed,
-                                          std::size_t jobs,
                                           const SupervisorPolicy& policy);
 
 /// Installs a SIGINT handler that sets (and never clears) an internal

@@ -300,12 +300,16 @@ class PhaseDriver {
     // Head churn at phase boundaries (never in ∞-stable mode).
     bool heads_changed = false;
     if (!first && !cfg_.stable_heads && cfg_.head_churn_prob > 0.0) {
+      bool marked = false;  // is_head_ mirrors head_set_ once set
       for (NodeId& h : head_set_) {
         if (!head_rng_.bernoulli(cfg_.head_churn_prob)) continue;
         // Swap head role with a random non-head node.
-        backbone_laid_ = false;  // is_head_ becomes this loop's scratch
-        is_head_.assign(cfg_.nodes, 0);
-        for (NodeId x : head_set_) is_head_[x] = 1;
+        if (!marked) {
+          backbone_laid_ = false;  // is_head_ becomes this loop's scratch
+          is_head_.assign(cfg_.nodes, 0);
+          for (NodeId x : head_set_) is_head_[x] = 1;
+          marked = true;
+        }
         NodeId replacement = h;
         for (int attempt = 0; attempt < 64; ++attempt) {
           const auto cand = static_cast<NodeId>(head_rng_.below(cfg_.nodes));
@@ -315,6 +319,8 @@ class PhaseDriver {
           }
         }
         if (replacement != h) {
+          is_head_[h] = 0;
+          is_head_[replacement] = 1;
           h = replacement;
           ever_head_[replacement] = 1;
           heads_changed = true;

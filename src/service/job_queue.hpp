@@ -36,8 +36,8 @@
 #include <string>
 #include <vector>
 
-#include "service/framed_log.hpp"
 #include "service/job_spec.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 

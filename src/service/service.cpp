@@ -156,7 +156,7 @@ ExperimentService::SubmitOutcome ExperimentService::submit(
 }
 
 std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
-    ServiceReport& report) {
+    ServiceReport& report, const std::set<std::uint64_t>& held) {
   // One transient queue session: acknowledge cache hits, then claim the
   // first job no sibling drainer holds.  The queue closes before any
   // simulation starts.
@@ -180,7 +180,8 @@ std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
     // A sibling's live durable claim is a cheap pre-filter; the lease
     // below is the authority (claims are advisory observability).
     const std::optional<JobQueue::Claim> claim = queue.claim_of(hash, now);
-    if (claim.has_value() && claim->owner != leases_->owner()) {
+    if (held.count(hash) != 0 ||
+        (claim.has_value() && claim->owner != leases_->owner())) {
       ++foreign;
       continue;
     }
@@ -201,11 +202,11 @@ std::optional<ExperimentService::ClaimedJob> ExperimentService::claim_next(
 }
 
 void ExperimentService::execute_claimed(ClaimedJob claimed,
-                                        ServiceReport& report) {
+                                        ServiceReport& report,
+                                        std::set<std::uint64_t>& held) {
   const JobSpec job = claimed.job;
   const std::uint64_t hash = job.content_hash();
   LeaseLock& lease = claimed.lease;
-  append_ledger(kLedgerClaim, hash, lease.token());
 
   // Helper: end the durable claim (transient queue session).  The lease
   // itself is released separately — queue claims are observability, the
@@ -221,37 +222,50 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
   // finished replicates, so nothing executes twice.  The journal is
   // shared with any successor that takes the job over — results are
   // pure functions of (spec, seed), so replicates journaled by a fenced
-  // zombie are byte-identical to what the successor would compute.
-  ExperimentJournal journal(journal_path(job));
-  report.resumed_replicates += journal.size();
-
-  std::atomic<bool> stop{false};
+  // zombie are byte-identical to what the successor would compute.  The
+  // journal is single-writer, so it is closed as soon as the replicates
+  // are done: a successor must be able to open it while we publish.
   std::atomic<bool> lease_lost{false};
-
-  SupervisorPolicy policy;
-  policy.deadline_ms = options_.deadline_ms;
-  policy.max_retries = options_.max_retries;
-  policy.journal = &journal;
-  policy.cancel = &stop;
-  policy.on_progress = [&](std::size_t, std::uint64_t) {
-    // The heartbeat: every journaled replicate renews the lease.  A
-    // failed renew means a successor took the job — stop promptly, the
-    // fencing token would refuse our publish anyway.
-    if (!lease.renew()) {
-      lease_lost.store(true, std::memory_order_relaxed);
-      stop.store(true, std::memory_order_relaxed);
+  SupervisedBatch batch;
+  {
+    ExperimentJournal journal(journal_path(job));
+    if (!journal.writable()) {
+      // A live holder owns the journal: a zombie that lost this lease but
+      // has not noticed yet, or another process.  Leave the job pending
+      // for whoever runs it next.
+      drop_claim();
+      lease.release();
+      held.insert(hash);
+      return;
     }
-    if (options_.cancel != nullptr &&
-        options_.cancel->load(std::memory_order_relaxed)) {
-      stop.store(true, std::memory_order_relaxed);
-    }
-  };
+    append_ledger(kLedgerClaim, hash, lease.token());
+    report.resumed_replicates += journal.size();
 
-  const SpecFactory factory = scenario_factory(job.scenario, job.config);
-  const ExperimentOptions exp{static_cast<std::size_t>(job.repetitions),
-                              job.base_seed, options_.policy};
-  const SupervisedBatch batch =
-      run_replicates_supervised(factory, exp, policy);
+    std::atomic<bool> stop{false};
+    SupervisorPolicy policy;
+    policy.deadline_ms = options_.deadline_ms;
+    policy.max_retries = options_.max_retries;
+    policy.journal = &journal;
+    policy.cancel = &stop;
+    policy.on_progress = [&](std::size_t, std::uint64_t) {
+      // The heartbeat: every journaled replicate renews the lease.  A
+      // failed renew means a successor took the job — stop promptly, the
+      // fencing token would refuse our publish anyway.
+      if (!lease.renew()) {
+        lease_lost.store(true, std::memory_order_relaxed);
+        stop.store(true, std::memory_order_relaxed);
+      }
+      if (options_.cancel != nullptr &&
+          options_.cancel->load(std::memory_order_relaxed)) {
+        stop.store(true, std::memory_order_relaxed);
+      }
+    };
+
+    const SpecFactory factory = scenario_factory(job.scenario, job.config);
+    const ExperimentOptions exp{static_cast<std::size_t>(job.repetitions),
+                                job.base_seed, options_.policy};
+    batch = run_replicates_supervised(factory, exp, policy);
+  }
 
   if (lease_lost.load(std::memory_order_relaxed)) {
     // Taken over mid-execution.  The job is the successor's now; our
@@ -335,15 +349,18 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
 
 ServiceReport ExperimentService::run_pending() {
   ServiceReport report;
+  // Jobs whose journal another writer held this pass: left to the holder
+  // (and counted in skipped_claimed) instead of being re-claimed at once.
+  std::set<std::uint64_t> held;
   for (;;) {
     if (options_.cancel != nullptr &&
         options_.cancel->load(std::memory_order_relaxed)) {
       report.cancelled = true;
       break;
     }
-    std::optional<ClaimedJob> claimed = claim_next(report);
+    std::optional<ClaimedJob> claimed = claim_next(report, held);
     if (!claimed.has_value()) break;
-    execute_claimed(std::move(*claimed), report);
+    execute_claimed(std::move(*claimed), report, held);
     if (report.cancelled) break;
   }
   return report;

@@ -47,12 +47,12 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
-
-#include <map>
 
 #include "analysis/supervisor.hpp"
 #include "service/job_queue.hpp"
@@ -116,8 +116,9 @@ struct ServiceReport {
   /// fenced): the successor owns the job; nothing was corrupted and
   /// nothing of the successor's was overwritten.
   std::size_t stale_leases = 0;
-  /// Pending jobs left alone because a sibling drainer holds their lease
-  /// or live claim — they are *someone else's* work, not a failure.
+  /// Pending jobs left alone because a sibling drainer holds their lease,
+  /// live claim or journal — they are *someone else's* work, not a
+  /// failure.
   std::size_t skipped_claimed = 0;
   bool cancelled = false;          ///< stopped on the cancel flag
   std::vector<std::string> failure_messages;
@@ -182,8 +183,13 @@ class ExperimentService {
     LeaseLock lease;
   };
 
-  std::optional<ClaimedJob> claim_next(ServiceReport& report);
-  void execute_claimed(ClaimedJob claimed, ServiceReport& report);
+  std::optional<ClaimedJob> claim_next(ServiceReport& report,
+                                       const std::set<std::uint64_t>& held);
+  /// Runs and publishes a claimed job.  When another writer holds the
+  /// job's journal, drops the claim, releases the lease and adds the job
+  /// to `held`: it stays pending for its holder.
+  void execute_claimed(ClaimedJob claimed, ServiceReport& report,
+                       std::set<std::uint64_t>& held);
   void append_ledger(std::uint8_t kind, std::uint64_t hash,
                      std::uint64_t token);
   void reopen_store();

@@ -136,7 +136,11 @@ TEST(ExperimentJournal, KilledSweepResumesByteIdenticallyAtAnyJobCount) {
         if (fresh.fetch_add(1) + 1 >= 3) cancel.store(true);
       };
       const SupervisedBatch partial =
-          run_replicates_supervised(factory, reps, base_seed, jobs, policy);
+          run_replicates_supervised(
+              factory,
+              ExperimentOptions{reps, base_seed,
+                                ExecutionPolicy::threaded(jobs)},
+              policy);
       EXPECT_TRUE(partial.cancelled);
       EXPECT_LT(partial.completed(), reps);
       EXPECT_GE(journal.size(), 3u);
@@ -148,7 +152,10 @@ TEST(ExperimentJournal, KilledSweepResumesByteIdenticallyAtAnyJobCount) {
     policy.journal = &journal;
     const std::size_t already = journal.size();
     const SupervisedBatch resumed =
-        run_replicates_supervised(factory, reps, base_seed, jobs, policy);
+        run_replicates_supervised(
+            factory,
+            ExperimentOptions{reps, base_seed, ExecutionPolicy::threaded(jobs)},
+            policy);
     EXPECT_EQ(resumed.completed(), reps);
     EXPECT_EQ(resumed.from_journal, already);
     EXPECT_TRUE(resumed.failures.empty());
@@ -171,7 +178,9 @@ TEST(ExperimentJournal, ResultsFromTheJournalAreTheResultsThatRan) {
     ExperimentJournal journal(path);
     SupervisorPolicy policy;
     policy.journal = &journal;
-    run_replicates_supervised(factory, 4, 50, 1, policy);
+    run_replicates_supervised(
+        factory, ExperimentOptions{4, 50, ExecutionPolicy::threaded(1)},
+        policy);
   }
   ExperimentJournal journal(path);
   for (std::size_t rep = 0; rep < 4; ++rep) {

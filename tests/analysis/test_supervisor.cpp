@@ -115,7 +115,10 @@ TEST(RunReplicatesFailureReport, SeedOverflowIsRejectedUpFront) {
                PreconditionError);
   SupervisorPolicy policy;
   EXPECT_THROW(
-      run_replicates_supervised(tiny_factory(), 3, near_max, 1, policy),
+      run_replicates_supervised(
+          tiny_factory(),
+          ExperimentOptions{3, near_max, ExecutionPolicy::threaded(1)},
+          policy),
       PreconditionError);
   // Exactly at the boundary is fine: seeds near_max and near_max + 1.
   EXPECT_NO_THROW(run_replicates(tiny_factory(), 2, near_max, 1));
@@ -129,7 +132,10 @@ TEST(Supervisor, IsolatesFailuresAndSalvagesTheRest) {
   SupervisorPolicy policy;
   policy.max_retries = 2;  // must NOT retry: invariant is deterministic
   const SupervisedBatch batch =
-      run_replicates_supervised(factory, 5, base_seed, 2, policy);
+      run_replicates_supervised(
+          factory,
+          ExperimentOptions{5, base_seed, ExecutionPolicy::threaded(2)},
+          policy);
 
   EXPECT_EQ(batch.completed(), 4u);
   ASSERT_EQ(batch.failures.size(), 1u);
@@ -170,7 +176,10 @@ TEST(Supervisor, RetriesTransientFailuresWithBackoff) {
   policy.max_retries = 2;
   policy.backoff_base_ms = 1;
   const SupervisedBatch batch =
-      run_replicates_supervised(factory, 3, base_seed, 1, policy);
+      run_replicates_supervised(
+          factory,
+          ExperimentOptions{3, base_seed, ExecutionPolicy::threaded(1)},
+          policy);
   EXPECT_EQ(batch.completed(), 3u);
   EXPECT_TRUE(batch.failures.empty());
   EXPECT_EQ(batch.retried_replicates, 1u);
@@ -186,7 +195,10 @@ TEST(Supervisor, ExhaustedRetriesReportTotalAttempts) {
   policy.max_retries = 2;
   policy.backoff_base_ms = 1;
   const SupervisedBatch batch =
-      run_replicates_supervised(factory, 2, base_seed, 1, policy);
+      run_replicates_supervised(
+          factory,
+          ExperimentOptions{2, base_seed, ExecutionPolicy::threaded(1)},
+          policy);
   ASSERT_EQ(batch.failures.size(), 1u);
   EXPECT_EQ(batch.failures[0].cls, RunErrorClass::kIo);
   EXPECT_EQ(batch.failures[0].attempts, 3u);  // 1 initial + 2 retries
@@ -198,14 +210,19 @@ TEST(Supervisor, DeadlineBoundsAStuckReplicate) {
   policy.retry_deadline = false;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
   const SupervisedBatch batch =
-      run_replicates_supervised(factory, 1, 1, 1, policy);
+      run_replicates_supervised(
+          factory, ExperimentOptions{1, 1, ExecutionPolicy::threaded(1)},
+          policy);
   EXPECT_EQ(batch.completed(), 0u);
   ASSERT_EQ(batch.failures.size(), 1u);
   EXPECT_EQ(batch.failures[0].cls, RunErrorClass::kDeadline);
   EXPECT_EQ(batch.failures[0].attempts, 1u);  // retry_deadline=false
 
-  EXPECT_THROW(run_experiment_supervised(factory, 1, 1, 1, policy),
-               ReplicateBatchError);
+  EXPECT_THROW(
+      run_experiment_supervised(
+          factory, ExperimentOptions{1, 1, ExecutionPolicy::threaded(1)},
+          policy),
+      ReplicateBatchError);
 }
 
 TEST(Supervisor, RetryDeadlinePolicyGivesDeadlinesASecondChance) {
@@ -216,7 +233,9 @@ TEST(Supervisor, RetryDeadlinePolicyGivesDeadlinesASecondChance) {
   policy.retry_deadline = true;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
   const SupervisedBatch batch =
-      run_replicates_supervised(factory, 1, 1, 1, policy);
+      run_replicates_supervised(
+          factory, ExperimentOptions{1, 1, ExecutionPolicy::threaded(1)},
+          policy);
   ASSERT_EQ(batch.failures.size(), 1u);
   EXPECT_EQ(batch.failures[0].attempts, 2u);
 }
@@ -226,13 +245,17 @@ TEST(Supervisor, PreArmedCancelRunsNothing) {
   SupervisorPolicy policy;
   policy.cancel = &cancel;
   const SupervisedBatch batch =
-      run_replicates_supervised(tiny_factory(), 4, 1, 2, policy);
+      run_replicates_supervised(
+          tiny_factory(), ExperimentOptions{4, 1, ExecutionPolicy::threaded(2)},
+          policy);
   EXPECT_TRUE(batch.cancelled);
   EXPECT_EQ(batch.completed(), 0u);
   EXPECT_TRUE(batch.failures.empty());
 
   try {
-    run_experiment_supervised(tiny_factory(), 4, 1, 2, policy);
+    run_experiment_supervised(
+        tiny_factory(), ExperimentOptions{4, 1, ExecutionPolicy::threaded(2)},
+        policy);
     FAIL() << "cancelled-empty batch did not throw";
   } catch (const ReplicateBatchError& e) {
     ASSERT_EQ(e.failures().size(), 1u);
@@ -249,7 +272,9 @@ TEST(Supervisor, CancelMidBatchKeepsWhatCompleted) {
     if (done.fetch_add(1) + 1 >= 2) cancel.store(true);
   };
   const SupervisedBatch batch =
-      run_replicates_supervised(tiny_factory(), 8, 1, 1, policy);
+      run_replicates_supervised(
+          tiny_factory(), ExperimentOptions{8, 1, ExecutionPolicy::threaded(1)},
+          policy);
   EXPECT_TRUE(batch.cancelled);
   EXPECT_GE(batch.completed(), 2u);
   EXPECT_LT(batch.completed(), 8u);
@@ -265,7 +290,9 @@ TEST(Supervisor, SupervisedMatchesUnsupervisedWhenNothingGoesWrong) {
       factory, ExperimentOptions{6, 9, ExecutionPolicy::threaded(2)});
   SupervisorPolicy policy;
   const AggregateResult supervised =
-      run_experiment_supervised(factory, 6, 9, 2, policy);
+      run_experiment_supervised(
+          factory, ExperimentOptions{6, 9, ExecutionPolicy::threaded(2)},
+          policy);
   EXPECT_TRUE(supervised.same_statistics(plain));
   EXPECT_EQ(supervised.stats_digest(), plain.stats_digest());
 }

@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "analysis/scenarios.hpp"
-#include "service/framed_log.hpp"
 #include "service/lease_lock.hpp"
 #include "service/service.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 namespace {

@@ -156,6 +156,40 @@ TEST(Service, JournaledReplicatesAreNotReExecuted) {
             uninterrupted_digest);
 }
 
+TEST(Service, HeldJournalDefersTheJobToItsHolder) {
+  // Another writer (a zombie drain still executing, say) holds the job's
+  // journal.  The drain must leave the job pending for it instead of
+  // writing frames into a journal it does not own; once the holder is
+  // gone, the next drain resumes every replicate the holder recorded.
+  const std::string dir = fresh_dir("held_journal");
+  const JobSpec spec = tiny_spec(11, 2);
+  ExperimentService service(dir, {});
+  service.submit(spec);
+  {
+    ExperimentJournal holder(service.journal_path(spec));
+    const std::vector<ReplicateResult> reps =
+        run_replicates(scenario_factory(spec.scenario, spec.config),
+                       spec.repetitions, spec.base_seed, 1);
+    for (std::uint64_t i = 0; i < spec.repetitions; ++i) {
+      holder.append(replicate_seed(spec.base_seed, i), reps[i]);
+    }
+
+    const ServiceReport deferred = service.run_pending();
+    EXPECT_EQ(deferred.executed_jobs, 0u);
+    EXPECT_EQ(deferred.skipped_claimed, 1u);
+    EXPECT_EQ(deferred.deferred_jobs, 0u);
+    EXPECT_EQ(deferred.failed_jobs, 0u);
+    EXPECT_EQ(service.pending(), 1u);
+    EXPECT_FALSE(service.store().contains(spec));
+  }
+
+  const ServiceReport resumed = service.run_pending();
+  EXPECT_EQ(resumed.executed_jobs, 1u);
+  EXPECT_EQ(resumed.resumed_replicates, spec.repetitions);
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_TRUE(service.store().contains(spec));
+}
+
 TEST(Service, CancelBetweenJobsLeavesQueueResumable) {
   const std::string dir = fresh_dir("cancel");
   std::atomic<bool> cancel{true};  // cancelled before the first job

@@ -17,10 +17,10 @@
 #include <vector>
 
 #include "analysis/scenarios.hpp"
-#include "service/framed_log.hpp"
 #include "service/job_queue.hpp"
 #include "service/results_store.hpp"
 #include "util/binary_io.hpp"
+#include "util/framed_log.hpp"
 
 namespace hinet {
 namespace {
