@@ -147,7 +147,8 @@ int main(int argc, char** argv) {
         const Point& p = points[i];
         const Quartiles sec = quartiles(p.seconds);
         const Quartiles up = quartiles(p.speedup);
-        f << "    {\"policy\": \"" << to_string(p.policy.mode)
+        // "serial" or "threaded", from the label ("threaded j=2").
+        f << "    {\"policy\": \"" << p.label.substr(0, p.label.find(' '))
           << "\", \"jobs\": " << p.policy.effective_jobs()
           << ", \"seconds_median\": " << sec.median
           << ", \"seconds_iqr\": [" << sec.q1 << ", " << sec.q3 << "]"

@@ -1,28 +1,14 @@
 #include "analysis/experiment.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
-#include <limits>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
+#include "analysis/supervisor.hpp"
+
 namespace hinet {
 
-const char* to_string(ExecutionPolicy::Mode m) {
-  switch (m) {
-    case ExecutionPolicy::Mode::kSerial:
-      return "serial";
-    case ExecutionPolicy::Mode::kThreaded:
-      return "threaded";
-  }
-  return "?";
-}
-
 std::size_t ExecutionPolicy::effective_jobs() const {
-  if (!is_threaded()) return 1;
   return jobs == 0 ? default_jobs() : jobs;
 }
 
@@ -40,91 +26,41 @@ std::string ReplicateBatchError::format(
   return os.str();
 }
 
-namespace {
-
-// wall_ms is observability only — it is excluded from aggregate stats, never
-// feeds simulation state, and the parallel runner stays byte-identical to
-// serial regardless of timing.
-// detlint-allow(banned-time): replicate wall-time is a bench-style timer
-using Clock = std::chrono::steady_clock;
-
-ReplicateResult run_one(const SpecFactory& factory, std::uint64_t seed) {
-  const auto t0 = Clock::now();
-  ReplicateResult out;
-  out.metrics = run_simulation(factory(seed));
-  out.wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  return out;
-}
-
-}  // namespace
-
 std::size_t default_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+namespace {
+
+/// The executor's default case: no deadline, retry or journal, and any
+/// failed replicate fails the whole batch once it has drained.
+SupervisedBatch run_all_or_nothing(const SpecFactory& factory,
+                                   const ExperimentOptions& options) {
+  SupervisedBatch batch =
+      run_replicates_supervised(factory, options, SupervisorPolicy{});
+  if (!batch.failures.empty()) {
+    std::vector<ReplicateFailure> failures;
+    failures.reserve(batch.failures.size());
+    for (RunError& f : batch.failures) {
+      failures.push_back(
+          ReplicateFailure{f.replicate, f.seed, std::move(f.message)});
+    }
+    throw ReplicateBatchError(std::move(failures));
+  }
+  return batch;
+}
+
+}  // namespace
+
 std::vector<ReplicateResult> run_replicates(const SpecFactory& factory,
                                             std::size_t repetitions,
                                             std::uint64_t base_seed,
                                             std::size_t jobs) {
-  HINET_REQUIRE(repetitions >= 1, "need at least one repetition");
-  HINET_REQUIRE(
-      repetitions - 1 <= std::numeric_limits<std::uint64_t>::max() - base_seed,
-      "replicate seed overflow: base_seed + repetitions - 1 wraps past "
-      "2^64, which would alias replicates onto low seeds and correlate "
-      "'independent' repetitions — lower the base seed or the repetition "
-      "count");
-  if (jobs == 0) jobs = default_jobs();
-  std::vector<ReplicateResult> out(repetitions);
-
-  // Failures are collected, never fail-fast: every replicate runs, each
-  // writes only its own slot (or failure record), and the batch reports the
-  // full failure list at the end.  One debugging cycle sees every bad seed.
-  std::mutex failure_mutex;
-  std::vector<ReplicateFailure> failures;
-  auto run_slot = [&](std::size_t rep) {
-    const std::uint64_t seed = replicate_seed(base_seed, rep);
-    try {
-      out[rep] = run_one(factory, seed);
-    } catch (const std::exception& e) {
-      const std::lock_guard<std::mutex> lock(failure_mutex);
-      failures.push_back(ReplicateFailure{rep, seed, e.what()});
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(failure_mutex);
-      failures.push_back(ReplicateFailure{rep, seed, "unknown exception"});
-    }
-  };
-
-  if (jobs == 1 || repetitions == 1) {
-    for (std::size_t rep = 0; rep < repetitions; ++rep) run_slot(rep);
-  } else {
-    // Fixed-size pool pulling replicate indices from a shared counter.
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      while (true) {
-        const std::size_t rep = next.fetch_add(1, std::memory_order_relaxed);
-        if (rep >= repetitions) break;
-        run_slot(rep);
-      }
-    };
-    const std::size_t width = jobs < repetitions ? jobs : repetitions;
-    std::vector<std::thread> pool;
-    pool.reserve(width);
-    for (std::size_t i = 0; i < width; ++i) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-
-  if (!failures.empty()) {
-    // Failure order depends on thread scheduling; report by replicate index
-    // so the same failing batch always reads the same.
-    std::sort(failures.begin(), failures.end(),
-              [](const ReplicateFailure& a, const ReplicateFailure& b) {
-                return a.replicate < b.replicate;
-              });
-    throw ReplicateBatchError(std::move(failures));
-  }
-  return out;
+  return run_all_or_nothing(
+             factory,
+             ExperimentOptions{repetitions, base_seed, ExecutionPolicy{jobs}})
+      .take_completed();
 }
 
 AggregateResult aggregate_replicates(const std::vector<ReplicateResult>& reps,
@@ -228,14 +164,7 @@ std::string AggregateResult::to_string() const {
 
 AggregateResult run_experiment(const SpecFactory& factory,
                                const ExperimentOptions& options) {
-  const ExecutionPolicy& policy = options.policy;
-  const std::size_t jobs = policy.effective_jobs();
-  const auto t0 = Clock::now();
-  const std::vector<ReplicateResult> results =
-      run_replicates(factory, options.repetitions, options.base_seed, jobs);
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  return aggregate_replicates(results, seconds, jobs);
+  return aggregate_supervised(run_all_or_nothing(factory, options));
 }
 
 }  // namespace hinet

@@ -3,23 +3,25 @@
 // A SpecFactory builds everything one repetition needs — trace, hierarchy,
 // channel, processes, engine config — as a self-owning SimulationSpec from
 // a seed; run_experiment executes `repetitions` of them with derived seeds
-// under an ExecutionPolicy and summarises.  All benches and sweep figures
-// go through this path so their statistics are computed identically.
+// on a pool of workers and summarises.  All benches and sweep figures go
+// through this path so their statistics are computed identically.
 //
-// ## ExecutionPolicy semantics
+// One executor runs every batch: run_replicates and run_experiment are
+// run_replicates_supervised (supervisor.hpp) under a default
+// SupervisorPolicy — no deadline, no retry, no journal — where any failed
+// replicate fails the whole batch.
 //
-// The policy chooses HOW replicates execute, never WHAT they compute: for
-// a fixed (factory, repetitions, base_seed), every policy produces
-// byte-identical deterministic statistics (same_statistics / stats_digest)
-// because replicate seeds derive from the replicate *index*
-// (replicate_seed), results are stored by index, and aggregation runs in
-// index order regardless of scheduling.
+// ## Worker count
 //
-//   Serial           — one replicate after another on the calling thread.
-//                      The reference path.
-//   Threaded{jobs}   — a fixed worker pool of `jobs` threads (0 =
-//                      default_jobs()); each worker builds and runs whole
-//                      replicates.  Wins when hardware threads are free.
+// ExecutionPolicy is a worker count.  It chooses HOW MANY threads run the
+// replicates, never WHAT they compute: for a fixed (factory, repetitions,
+// base_seed), every count produces byte-identical deterministic
+// statistics (same_statistics / stats_digest) because replicate seeds
+// derive from the replicate *index* (replicate_seed), results are stored
+// by index, and aggregation runs in index order regardless of scheduling.
+// One worker runs the batch on the calling thread (the reference path);
+// more workers each build and run whole replicates, which wins when
+// hardware threads are free.
 //
 // The parallel execution contract: every spec owns its whole run, so
 // replicates share no mutable state; the factory must be safe to invoke
@@ -41,41 +43,28 @@ using SpecFactory = std::function<SimulationSpec(std::uint64_t seed)>;
 
 /// Seed of replicate `rep` in a batch with base seed `base_seed`.  Kept as
 /// plain base + rep (the historical contract "seeds base_seed,
-/// base_seed+1, ..."), centralised here so the execution policies cannot
-/// drift apart.  Callers validate against wraparound up front
-/// (run_replicates rejects batches whose last seed would overflow);
+/// base_seed+1, ..."), centralised here so every caller derives seeds the
+/// same way.  Callers validate against wraparound up front
+/// (the executor rejects batches whose last seed would overflow);
 /// this function itself stays a total constexpr.
 constexpr std::uint64_t replicate_seed(std::uint64_t base_seed,
                                        std::size_t rep) {
   return base_seed + rep;
 }
 
-/// How an experiment's replicates execute.  See the policy semantics at
-/// the top of this header; every mode produces byte-identical statistics.
+/// How many workers run an experiment's replicates.  Every count produces
+/// byte-identical statistics (see the top of this header).
 struct ExecutionPolicy {
-  enum class Mode {
-    kSerial,    ///< calling thread, one replicate at a time
-    kThreaded,  ///< worker pool, whole replicates
-  };
+  /// Worker-pool width; 0 = default_jobs().
+  std::size_t jobs = 1;
 
-  Mode mode = Mode::kSerial;
+  static ExecutionPolicy serial() { return {1}; }
+  static ExecutionPolicy threaded(std::size_t jobs = 0) { return {jobs}; }
 
-  /// Worker-pool width for the threaded mode; 0 = default_jobs().
-  std::size_t jobs = 0;
-
-  static ExecutionPolicy serial() { return {}; }
-  static ExecutionPolicy threaded(std::size_t jobs = 0) {
-    return {Mode::kThreaded, jobs};
-  }
-
-  bool is_threaded() const { return mode == Mode::kThreaded; }
-
-  /// Worker-pool width this policy actually uses (1 for serial, jobs
-  /// resolved through default_jobs() otherwise).
+  /// Worker-pool width this policy actually uses (jobs, with 0 resolved
+  /// through default_jobs()).
   std::size_t effective_jobs() const;
 };
-
-const char* to_string(ExecutionPolicy::Mode m);
 
 /// Everything run_experiment needs besides the factory.
 struct ExperimentOptions {
@@ -91,10 +80,11 @@ struct ReplicateFailure {
   std::string message;
 };
 
-/// Thrown by run_replicates after the whole batch drained when at least
-/// one replicate failed.  Unlike a bare rethrow of the first exception,
-/// this carries *every* failure — a batch with three bad seeds reports
-/// three seeds, so one debugging cycle sees the full blast radius.
+/// Thrown by run_replicates and run_experiment after the whole batch
+/// drained when at least one replicate failed.  Unlike a bare rethrow of
+/// the first exception, this carries *every* failure — a batch with three
+/// bad seeds reports three seeds, so one debugging cycle sees the full
+/// blast radius.
 /// Derives from std::runtime_error so callers that only understand the
 /// old single-error contract still catch it.
 class ReplicateBatchError : public std::runtime_error {
@@ -120,13 +110,15 @@ struct ReplicateResult {
 };
 
 /// Executes `repetitions` replicates with seeds replicate_seed(base_seed,
-/// 0..reps-1) on up to `jobs` worker threads (0 = default_jobs()).
-/// Results are indexed by replicate, independent of completion order.
-/// Building the spec (trace generation) and running it both happen on the
-/// worker, so the whole per-replicate pipeline parallelises.  A failing
-/// replicate does not stop the batch: every replicate runs, and if any
-/// failed a ReplicateBatchError carrying all of them is thrown after the
-/// pool drains.  Rejects (PreconditionError) a batch whose last seed
+/// 0..reps-1) on up to `jobs` worker threads (0 = default_jobs()): a batch
+/// of run_replicates_supervised under a default SupervisorPolicy.  Results
+/// are indexed by replicate, independent of completion order.  Building
+/// the spec (trace generation) and running it both happen on the worker,
+/// so the whole per-replicate pipeline parallelises.  A failing replicate
+/// does not stop the batch: every replicate runs, and if any failed a
+/// ReplicateBatchError carrying all of them (each with its raw what(), or
+/// "unknown exception", sorted by replicate) is thrown after the pool
+/// drains.  Rejects (PreconditionError) a batch whose last seed
 /// base_seed + repetitions - 1 would wrap past 2^64 — silent wraparound
 /// would alias replicate seeds onto low seeds and quietly correlate
 /// "independent" repetitions.
@@ -146,7 +138,7 @@ struct BatchTiming {
 
 struct AggregateResult {
   // Deterministic simulation statistics: identical (byte for byte) across
-  // execution policies at equal (factory, repetitions, base_seed).
+  // worker counts at equal (factory, repetitions, base_seed).
   Summary rounds_to_completion;  ///< over delivered runs only
   Summary tokens_sent;
   Summary packets_sent;
@@ -189,10 +181,10 @@ struct AggregateResult {
 AggregateResult aggregate_replicates(const std::vector<ReplicateResult>& reps,
                                      double batch_seconds, std::size_t jobs);
 
-/// THE experiment entry point: executes options.repetitions replicates of
-/// the factory at seeds derived from options.base_seed under
-/// options.policy, and aggregates.  Statistics do not depend on the
-/// policy; timing does.
+/// THE experiment entry point: run_replicates on options.policy's workers
+/// plus the aggregate, timed by the batch itself.  Throws
+/// ReplicateBatchError like run_replicates.  Statistics do not depend on
+/// the worker count; timing does.
 AggregateResult run_experiment(const SpecFactory& factory,
                                const ExperimentOptions& options);
 

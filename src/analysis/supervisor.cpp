@@ -15,10 +15,19 @@ namespace hinet {
 
 namespace {
 
-// wall_ms is observability only (excluded from aggregate statistics), and
-// the backoff sleep never feeds simulation state.
+// Replicate and batch wall times are observability only (excluded from
+// aggregate statistics), and the backoff sleep never feeds simulation
+// state.
 // detlint-allow(banned-time): supervisor wall-time is a bench-style timer
 using Clock = std::chrono::steady_clock;
+
+/// Sleep before retry `attempt` (1-based): 10 ms doubling per retry, the
+/// shift capped far below the word width so no budget sleeps for years.
+std::chrono::milliseconds retry_backoff(std::size_t attempt) {
+  constexpr std::size_t kMaxShift = 6;
+  return std::chrono::milliseconds(std::size_t{10}
+                                   << std::min(attempt - 1, kMaxShift));
+}
 
 }  // namespace
 
@@ -68,12 +77,21 @@ std::size_t SupervisedBatch::completed() const {
   return n;
 }
 
+std::vector<ReplicateResult> SupervisedBatch::take_completed() {
+  std::vector<ReplicateResult> out;
+  out.reserve(slots.size());
+  for (auto& slot : slots) {
+    if (slot.has_value()) out.push_back(std::move(*slot));
+  }
+  slots.clear();
+  return out;
+}
+
 SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
                                           const SupervisorPolicy& policy) {
   const std::size_t repetitions = options.repetitions;
   const std::uint64_t base_seed = options.base_seed;
-  const std::size_t jobs = options.policy.effective_jobs();
   HINET_REQUIRE(repetitions >= 1, "need at least one repetition");
   HINET_REQUIRE(
       repetitions - 1 <= std::numeric_limits<std::uint64_t>::max() - base_seed,
@@ -89,7 +107,9 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
                                 "it closes");
   }
 
+  const auto batch_start = Clock::now();
   SupervisedBatch batch;
+  batch.jobs = options.policy.effective_jobs();
   batch.slots.resize(repetitions);
   std::mutex book_mutex;  // guards failures + counters; slots are per-index
   std::atomic<bool> cancelled{false};
@@ -109,8 +129,9 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
         return;
       }
     }
-    const std::size_t max_attempts = policy.max_retries + 1;
-    for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
+    // `attempt` counts attempts made; retrying while attempt <= max_retries
+    // never forms max_retries + 1, which would wrap to 0 at SIZE_MAX.
+    for (std::size_t attempt = 1;; ++attempt) {
       try {
         const auto t0 = Clock::now();
         SimulationSpec spec = factory(seed);
@@ -134,12 +155,9 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
         return;
       } catch (const std::exception& e) {
         const RunErrorClass cls = classify_run_error(e);
-        const bool retryable =
-            is_transient(cls) &&
-            (cls != RunErrorClass::kDeadline || policy.retry_deadline);
-        if (retryable && attempt < max_attempts && !cancel_requested()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              policy.backoff_base_ms << (attempt - 1)));
+        if (is_transient(cls) && attempt <= policy.max_retries &&
+            !cancel_requested()) {
+          std::this_thread::sleep_for(retry_backoff(attempt));
           continue;
         }
         const std::lock_guard<std::mutex> lock(book_mutex);
@@ -170,10 +188,10 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
     }
   };
 
-  if (jobs == 1 || repetitions == 1) {
+  if (batch.jobs == 1 || repetitions == 1) {
     pull_worker();
   } else {
-    const std::size_t width = jobs < repetitions ? jobs : repetitions;
+    const std::size_t width = std::min(batch.jobs, repetitions);
     std::vector<std::thread> pool;
     pool.reserve(width);
     for (std::size_t i = 0; i < width; ++i) pool.emplace_back(pull_worker);
@@ -187,19 +205,17 @@ SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
             [](const RunError& a, const RunError& b) {
               return a.replicate < b.replicate;
             });
+  batch.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - batch_start).count();
   return batch;
 }
 
-AggregateResult aggregate_supervised(const SupervisedBatch& batch,
-                                     double batch_seconds, std::size_t jobs) {
-  std::vector<ReplicateResult> ok;
-  ok.reserve(batch.slots.size());
-  for (const auto& slot : batch.slots) {
-    if (slot.has_value()) ok.push_back(*slot);
-  }
+AggregateResult aggregate_supervised(SupervisedBatch batch) {
+  const std::vector<ReplicateResult> ok = batch.take_completed();
   HINET_REQUIRE(!ok.empty(),
                 "cannot aggregate a batch with zero successful replicates");
-  AggregateResult out = aggregate_replicates(ok, batch_seconds, jobs);
+  AggregateResult out =
+      aggregate_replicates(ok, batch.wall_seconds, batch.jobs);
   out.failed_replicates = batch.failures.size();
   out.retried_replicates = batch.retried_replicates;
   return out;
@@ -208,12 +224,7 @@ AggregateResult aggregate_supervised(const SupervisedBatch& batch,
 AggregateResult run_experiment_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
                                           const SupervisorPolicy& policy) {
-  const std::size_t jobs = options.policy.effective_jobs();
-  const auto t0 = Clock::now();
-  const SupervisedBatch batch =
-      run_replicates_supervised(factory, options, policy);
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
+  SupervisedBatch batch = run_replicates_supervised(factory, options, policy);
   if (batch.completed() == 0) {
     std::vector<ReplicateFailure> failures;
     failures.reserve(batch.failures.size());
@@ -230,7 +241,7 @@ AggregateResult run_experiment_supervised(const SpecFactory& factory,
     }
     throw ReplicateBatchError(std::move(failures));
   }
-  return aggregate_supervised(batch, seconds, jobs);
+  return aggregate_supervised(std::move(batch));
 }
 
 namespace {
@@ -245,11 +256,6 @@ extern "C" void hinet_sigint_handler(int sig) {
 }
 
 }  // namespace
-
-const std::atomic<bool>* install_sigint_cancellation() {
-  std::signal(SIGINT, hinet_sigint_handler);
-  return &g_sigint_cancel;
-}
 
 const std::atomic<bool>* install_termination_cancellation() {
   std::signal(SIGINT, hinet_sigint_handler);

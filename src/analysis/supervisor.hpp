@@ -1,13 +1,17 @@
 // Supervised experiment execution: failure isolation, deadlines, retry,
-// journal-backed resume.
+// journal-backed resume — and the one replicate executor every batch runs
+// on.
 //
-// run_replicates (experiment.hpp) treats any replicate failure as fatal to
-// the batch.  That is the right default for correctness tests, but a long
-// sweep wants supervision instead: one replicate hitting a pathological
-// seed, a wall-clock deadline, or a transient I/O error should cost that
-// replicate (or just one retry), never the other 999.
+// run_replicates and run_experiment (experiment.hpp) are this executor's
+// default case: a default SupervisorPolicy, where any replicate failure is
+// fatal to the batch.  That is the right default for correctness tests,
+// but a long sweep wants supervision instead: one replicate hitting a
+// pathological seed, a wall-clock deadline, or a transient I/O error
+// should cost that replicate (or just one retry), never the other 999.
 //
-// The supervisor wraps the same worker-pool executor with, per replicate:
+// The executor is a pool of `options.policy.jobs` workers pulling
+// replicate indices from a shared counter (one worker = the calling
+// thread).  The policy adds, per replicate:
 //
 //   - a wall-clock deadline, injected as EngineConfig::deadline_ms into
 //     the spec so a stuck run throws DeadlineError instead of occupying
@@ -25,13 +29,10 @@
 //     replicates are durably recorded as they finish and skipped on the
 //     next run — a killed sweep resumes and aggregates byte-identically
 //     (tests/analysis/test_journal.cpp, CI kill-and-resume smoke);
-//   - cooperative cancellation: a cancel flag (e.g. set by SIGINT via
-//     install_sigint_cancellation) stops workers at the next replicate
-//     boundary; in-flight replicates finish and reach the journal, so an
-//     interrupted sweep loses nothing it completed.
-//
-// All of the above composes with both ExecutionPolicy modes: serial is the
-// threaded executor with one worker.
+//   - cooperative cancellation: a cancel flag (e.g. set by SIGINT or
+//     SIGTERM via install_termination_cancellation) stops workers at the
+//     next replicate boundary; in-flight replicates finish and reach the
+//     journal, so an interrupted sweep loses nothing it completed.
 #pragma once
 
 #include <atomic>
@@ -80,17 +81,11 @@ struct SupervisorPolicy {
   /// 0 = no deadline.
   std::size_t deadline_ms = 0;
 
-  /// Extra attempts per replicate for transient failures.  0 = fail on
-  /// first error (still isolated to that replicate).
+  /// Extra attempts per replicate for transient failures (deadline, I/O).
+  /// 0 = fail on first error (still isolated to that replicate).  Retry i
+  /// (1-based) first sleeps 10 ms << min(i-1, 6), so the backoff never
+  /// exceeds 640 ms however large the budget.
   std::size_t max_retries = 0;
-
-  /// Backoff before retry i (1-based) is backoff_base_ms << (i-1).
-  std::size_t backoff_base_ms = 10;
-
-  /// Whether DeadlineError counts as transient.  True by default — on a
-  /// loaded machine a deadline often passes on retry; set false when the
-  /// deadline is meant as a hard per-replicate cost cap.
-  bool retry_deadline = true;
 
   /// Completed-replicate store for crash-safe resume; not owned.  When
   /// set, recorded seeds are skipped (their results reused) and fresh
@@ -121,47 +116,54 @@ struct SupervisedBatch {
   std::size_t from_journal = 0;        ///< reused from the journal
   bool cancelled = false;              ///< stopped early on the cancel flag
 
+  // Wall-clock measurement; varies run to run, never feeds statistics.
+  double wall_seconds = 0.0;  ///< whole-batch wall time
+  std::size_t jobs = 1;       ///< worker-pool width actually used
+
   std::size_t completed() const;
+
+  /// Moves the completed slots' results out, in replicate order, and
+  /// leaves the batch without slots.  The one way results leave a batch:
+  /// a per-replicate SimMetrics copy would double a sweep's peak result
+  /// memory.
+  std::vector<ReplicateResult> take_completed();
 };
 
-/// Executes the batch under the policy.  Never throws for per-replicate
-/// failures (they land in `failures`); does throw for batch-level caller
-/// errors (zero repetitions, seed overflow) and, before running anything,
-/// ConcurrentWriterError for a journal another writer holds.
+/// Executes the batch under the policy and times it.  Never throws for
+/// per-replicate failures (they land in `failures`); does throw for
+/// batch-level caller errors (zero repetitions, seed overflow) and, before
+/// running anything, ConcurrentWriterError for a journal another writer
+/// holds.
 ///
-/// options.policy sets the worker-pool width (serial = one worker).
+/// options.policy sets the worker-pool width.
 SupervisedBatch run_replicates_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
                                           const SupervisorPolicy& policy);
 
 /// Aggregates a supervised batch: statistics over the successful slots in
-/// index order (byte-identical to an unsupervised aggregate when nothing
-/// failed), with failed/retried counts filled in.
-AggregateResult aggregate_supervised(const SupervisedBatch& batch,
-                                     double batch_seconds, std::size_t jobs);
+/// index order, with failed/retried counts and the batch's own timing
+/// filled in.  Pass the batch by std::move to aggregate without copying
+/// its results.
+AggregateResult aggregate_supervised(SupervisedBatch batch);
 
 /// run_replicates_supervised + aggregate_supervised.  Throws
 /// ReplicateBatchError only when *no* replicate succeeded (there is
 /// nothing to aggregate); partial failure is reported through
 /// AggregateResult::failed_replicates instead.  Statistics (and the
-/// stats_digest) do not depend on options.policy — a threaded resumed
-/// sweep aggregates byte-identically to a serial one.
+/// stats_digest) do not depend on the worker count — a resumed sweep on
+/// eight workers aggregates byte-identically to a one-worker one.
 AggregateResult run_experiment_supervised(const SpecFactory& factory,
                                           const ExperimentOptions& options,
                                           const SupervisorPolicy& policy);
 
-/// Installs a SIGINT handler that sets (and never clears) an internal
-/// cancellation flag, and returns a pointer to it for SupervisorPolicy::
-/// cancel.  Install once per process; a second SIGINT restores the default
-/// disposition, so a double ctrl-C still kills a wedged sweep.
-const std::atomic<bool>* install_sigint_cancellation();
-
-/// Like install_sigint_cancellation, but covers SIGTERM as well — the
-/// signal a supervisor (systemd, CI, `kill`) sends for a clean shutdown.
-/// Both signals share one flag: long-running tools (sweep_runner, hinetd)
-/// treat either as "finish the in-flight unit, journal it, exit with the
-/// shared transient status".  A second delivery of either signal restores
-/// the default disposition, so a wedged process can still be killed.
+/// Installs a handler for SIGINT and SIGTERM — ctrl-C, and the signal a
+/// supervisor (systemd, CI, `kill`) sends for a clean shutdown — that sets
+/// (and never clears) one cancellation flag, and returns a pointer to it
+/// for SupervisorPolicy::cancel.  Install once per process.  Long-running
+/// tools (sweep_runner, hinetd) treat either signal as "finish the
+/// in-flight unit, journal it, exit with the shared transient status".  A
+/// second delivery of either signal restores the default disposition, so
+/// a wedged process can still be killed.
 const std::atomic<bool>* install_termination_cancellation();
 
 }  // namespace hinet

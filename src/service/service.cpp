@@ -285,11 +285,7 @@ void ExperimentService::execute_claimed(ClaimedJob claimed,
   }
 
   if (batch.completed() == job.repetitions) {
-    std::vector<ReplicateResult> replicates;
-    replicates.reserve(batch.slots.size());
-    for (const std::optional<ReplicateResult>& slot : batch.slots) {
-      replicates.push_back(*slot);
-    }
+    const std::vector<ReplicateResult> replicates = batch.take_completed();
     if (options_.on_job_will_publish) options_.on_job_will_publish(job);
     const Fencing fencing{leases_.get(), job_resource(hash), lease.token()};
     try {

@@ -9,8 +9,8 @@
 //                      enqueued, or already pending.  Queue at capacity is
 //                      an explicit QueueFullError, never unbounded growth.
 //   run_pending()    → drains the queue.  Each job executes its *missing*
-//                      replicates through run_replicates_supervised under
-//                      the configured ExecutionPolicy (deadlines, retry
+//                      replicates through run_replicates_supervised on
+//                      the configured worker count (deadlines, retry
 //                      taxonomy, partial-batch salvage), journaling each
 //                      completed replicate durably.  A fully completed job
 //                      is published to the store through the staged commit
@@ -65,7 +65,8 @@ struct ServiceOptions {
   /// Admission bound for the queue.
   std::size_t max_pending = 256;
 
-  /// How each job's replicates execute (serial or threaded).
+  /// Workers running each job's replicates (one by default); the result
+  /// does not depend on it.
   ExecutionPolicy policy;
 
   /// Per-replicate wall budget and retry budget, passed to the supervisor.

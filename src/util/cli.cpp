@@ -48,6 +48,17 @@ std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def,
   }
 }
 
+std::size_t CliArgs::get_count(const std::string& name, std::size_t def,
+                               const std::string& description) {
+  const std::int64_t v =
+      get_int(name, static_cast<std::int64_t>(def), description);
+  if (v < 0) {
+    throw std::invalid_argument("--" + name + " must be >= 0, got " +
+                                std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 double CliArgs::get_double(const std::string& name, double def,
                            const std::string& description) {
   registered_.push_back({name, std::to_string(def), description});

@@ -33,6 +33,11 @@ class CliArgs {
   std::string get_string(const std::string& name, const std::string& def,
                          const std::string& description);
 
+  /// get_int for a count or budget: rejects a negative value with
+  /// std::invalid_argument instead of letting it wrap to a huge size_t.
+  std::size_t get_count(const std::string& name, std::size_t def,
+                        const std::string& description);
+
   /// Registers the conventional "--jobs" option (worker threads for
   /// repetition batches) and returns its value with 0/default resolved to
   /// the hardware concurrency.  Always >= 1.

@@ -162,7 +162,7 @@ TEST(ExperimentJournal, KilledSweepResumesByteIdenticallyAtAnyJobCount) {
     EXPECT_FALSE(resumed.cancelled);
     EXPECT_EQ(journal.size(), reps);
 
-    const AggregateResult agg = aggregate_supervised(resumed, 1.0, jobs);
+    const AggregateResult agg = aggregate_supervised(resumed);
     EXPECT_TRUE(agg.same_statistics(clean));
     EXPECT_EQ(agg.stats_digest(), clean.stats_digest());
     std::remove(path.c_str());

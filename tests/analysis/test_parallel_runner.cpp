@@ -144,15 +144,14 @@ TEST(ParallelRunner, AllWorkersObserveEveryReplicateExactlyOnce) {
 }
 
 TEST(ExecutionPolicy_, FactoriesAndQueries) {
-  EXPECT_EQ(ExecutionPolicy::serial().mode, ExecutionPolicy::Mode::kSerial);
+  EXPECT_EQ(ExecutionPolicy::serial().jobs, ExecutionPolicy::threaded(1).jobs);
   EXPECT_EQ(ExecutionPolicy::threaded(3).jobs, 3u);
   const ExecutionPolicy t = ExecutionPolicy::threaded(2);
-  EXPECT_TRUE(t.is_threaded());
   EXPECT_EQ(t.effective_jobs(), 2u);
-  // Serial never spins up a pool regardless of the jobs field.
+  // Serial is one worker: the same pool width as threaded(1).
   EXPECT_EQ(ExecutionPolicy::serial().effective_jobs(), 1u);
-  EXPECT_EQ(std::string(to_string(ExecutionPolicy::Mode::kThreaded)),
-            "threaded");
+  EXPECT_EQ(ExecutionPolicy::serial().effective_jobs(),
+            ExecutionPolicy::threaded(1).effective_jobs());
 }
 
 TEST(ParallelRunner, RequiresAtLeastOneRepetition) {

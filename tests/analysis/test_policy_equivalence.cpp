@@ -168,8 +168,8 @@ TEST(SupervisedThreaded, ThreadedSupervisedMatchesSerialSupervised) {
       policy);
   ASSERT_EQ(serial.completed(), reps);
   ASSERT_EQ(threaded.completed(), reps);
-  const AggregateResult a = aggregate_supervised(serial, 1.0, 1);
-  const AggregateResult b = aggregate_supervised(threaded, 1.0, 3);
+  const AggregateResult a = aggregate_supervised(serial);
+  const AggregateResult b = aggregate_supervised(threaded);
   EXPECT_TRUE(a.same_statistics(b));
   EXPECT_EQ(a.stats_digest(), b.stats_digest());
 }

@@ -1,7 +1,7 @@
 // Supervisor semantics: error taxonomy, retry policy, failure isolation,
-// deadlines, cancellation — plus the aggregated failure report of the
-// unsupervised run_replicates (which stays all-or-nothing but must name
-// every casualty, not just the first).
+// deadlines, cancellation — plus the aggregated failure report of
+// run_replicates, the executor's all-or-nothing default case (which must
+// name every casualty, not just the first).
 #include "analysis/supervisor.hpp"
 
 #include <gtest/gtest.h>
@@ -109,6 +109,40 @@ TEST(RunReplicatesFailureReport, CollectsEveryFailureNotJustTheFirst) {
   }
 }
 
+TEST(RunReplicatesFailureReport, NonStdExceptionIsReportedAtItsReplicate) {
+  // A factory may throw something that is not a std::exception; both entry
+  // points report it at its replicate, and the rest of the batch runs.
+  const std::uint64_t base_seed = 500;
+  const std::uint64_t bad = replicate_seed(base_seed, 2);
+  auto calls = std::make_shared<std::atomic<std::size_t>>(0);
+  const SpecFactory base = tiny_factory();
+  const SpecFactory factory = [base, bad, calls](std::uint64_t seed) {
+    calls->fetch_add(1, std::memory_order_relaxed);
+    if (seed == bad) throw 42;
+    return base(seed);
+  };
+  try {
+    run_replicates(factory, 4, base_seed, 2);
+    FAIL() << "batch with a non-std exception did not throw";
+  } catch (const ReplicateBatchError& e) {
+    ASSERT_EQ(e.failures().size(), 1u);
+    EXPECT_EQ(e.failures()[0].replicate, 2u);
+    EXPECT_EQ(e.failures()[0].seed, bad);
+    EXPECT_EQ(e.failures()[0].message, "unknown exception");
+  }
+  EXPECT_EQ(calls->load(), 4u);
+
+  const SupervisedBatch batch = run_replicates_supervised(
+      factory, ExperimentOptions{4, base_seed, ExecutionPolicy::threaded(2)},
+      SupervisorPolicy{});
+  EXPECT_EQ(batch.completed(), 3u);
+  ASSERT_EQ(batch.failures.size(), 1u);
+  EXPECT_EQ(batch.failures[0].replicate, 2u);
+  EXPECT_EQ(batch.failures[0].cls, RunErrorClass::kOther);
+  EXPECT_EQ(batch.failures[0].message, "unknown exception");
+  EXPECT_FALSE(batch.slots[2].has_value());
+}
+
 TEST(RunReplicatesFailureReport, SeedOverflowIsRejectedUpFront) {
   const std::uint64_t near_max = std::numeric_limits<std::uint64_t>::max() - 1;
   EXPECT_THROW(run_replicates(tiny_factory(), 3, near_max, 1),
@@ -145,7 +179,7 @@ TEST(Supervisor, IsolatesFailuresAndSalvagesTheRest) {
   EXPECT_FALSE(batch.slots[2].has_value());
   EXPECT_FALSE(batch.cancelled);
 
-  const AggregateResult agg = aggregate_supervised(batch, 1.0, 2);
+  const AggregateResult agg = aggregate_supervised(batch);
   EXPECT_EQ(agg.failed_replicates, 1u);
   EXPECT_EQ(agg.repetitions, 4u);
 
@@ -174,7 +208,6 @@ TEST(Supervisor, RetriesTransientFailuresWithBackoff) {
 
   SupervisorPolicy policy;
   policy.max_retries = 2;
-  policy.backoff_base_ms = 1;
   const SupervisedBatch batch =
       run_replicates_supervised(
           factory,
@@ -183,7 +216,7 @@ TEST(Supervisor, RetriesTransientFailuresWithBackoff) {
   EXPECT_EQ(batch.completed(), 3u);
   EXPECT_TRUE(batch.failures.empty());
   EXPECT_EQ(batch.retried_replicates, 1u);
-  EXPECT_EQ(aggregate_supervised(batch, 1.0, 1).retried_replicates, 1u);
+  EXPECT_EQ(aggregate_supervised(batch).retried_replicates, 1u);
 }
 
 TEST(Supervisor, ExhaustedRetriesReportTotalAttempts) {
@@ -193,7 +226,6 @@ TEST(Supervisor, ExhaustedRetriesReportTotalAttempts) {
       tiny_factory(), bad, [] { throw IoError("permanent hiccup"); });
   SupervisorPolicy policy;
   policy.max_retries = 2;
-  policy.backoff_base_ms = 1;
   const SupervisedBatch batch =
       run_replicates_supervised(
           factory,
@@ -204,10 +236,31 @@ TEST(Supervisor, ExhaustedRetriesReportTotalAttempts) {
   EXPECT_EQ(batch.failures[0].attempts, 3u);  // 1 initial + 2 retries
 }
 
+TEST(Supervisor, HugeRetryBudgetStillRunsEveryReplicate) {
+  // The largest budget must not wrap the attempt count to zero, which
+  // would run nothing and report no failure.
+  SupervisorPolicy policy;
+  policy.max_retries = std::numeric_limits<std::size_t>::max();
+  const SupervisedBatch batch = run_replicates_supervised(
+      tiny_factory(), ExperimentOptions{3, 1, ExecutionPolicy::serial()},
+      policy);
+  EXPECT_EQ(batch.completed(), 3u);
+  EXPECT_TRUE(batch.failures.empty());
+
+  // A deterministic failure still ends after its one attempt.
+  const SpecFactory factory = failing_for(
+      tiny_factory(), {replicate_seed(1, 1)},
+      [] { throw InvariantError("simulated bug"); });
+  const SupervisedBatch failing = run_replicates_supervised(
+      factory, ExperimentOptions{3, 1, ExecutionPolicy::serial()}, policy);
+  EXPECT_EQ(failing.completed(), 2u);
+  ASSERT_EQ(failing.failures.size(), 1u);
+  EXPECT_EQ(failing.failures[0].attempts, 1u);
+}
+
 TEST(Supervisor, DeadlineBoundsAStuckReplicate) {
   SupervisorPolicy policy;
   policy.deadline_ms = 1;
-  policy.retry_deadline = false;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
   const SupervisedBatch batch =
       run_replicates_supervised(
@@ -216,7 +269,7 @@ TEST(Supervisor, DeadlineBoundsAStuckReplicate) {
   EXPECT_EQ(batch.completed(), 0u);
   ASSERT_EQ(batch.failures.size(), 1u);
   EXPECT_EQ(batch.failures[0].cls, RunErrorClass::kDeadline);
-  EXPECT_EQ(batch.failures[0].attempts, 1u);  // retry_deadline=false
+  EXPECT_EQ(batch.failures[0].attempts, 1u);  // max_retries = 0
 
   EXPECT_THROW(
       run_experiment_supervised(
@@ -229,8 +282,6 @@ TEST(Supervisor, RetryDeadlinePolicyGivesDeadlinesASecondChance) {
   SupervisorPolicy policy;
   policy.deadline_ms = 1;
   policy.max_retries = 1;
-  policy.backoff_base_ms = 1;
-  policy.retry_deadline = true;
   const SpecFactory factory = [](std::uint64_t) { return heavy_spec(); };
   const SupervisedBatch batch =
       run_replicates_supervised(
@@ -279,8 +330,7 @@ TEST(Supervisor, CancelMidBatchKeepsWhatCompleted) {
   EXPECT_GE(batch.completed(), 2u);
   EXPECT_LT(batch.completed(), 8u);
   // Salvage still aggregates the completed prefix.
-  const AggregateResult agg =
-      aggregate_supervised(batch, 1.0, 1);
+  const AggregateResult agg = aggregate_supervised(batch);
   EXPECT_EQ(agg.repetitions, batch.completed());
 }
 

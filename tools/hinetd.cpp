@@ -81,10 +81,10 @@ AssignmentMode parse_assignment(const std::string& name) {
       "' (choose one of: distinct-random, single-source, round-robin)");
 }
 
-ExecutionPolicy::Mode parse_policy(const std::string& name) {
-  using Mode = ExecutionPolicy::Mode;
-  if (name == "serial") return Mode::kSerial;
-  if (name == "threaded") return Mode::kThreaded;
+/// --policy=serial is one worker (ignoring --jobs); threaded is --jobs.
+ExecutionPolicy parse_policy(const std::string& name, std::size_t jobs) {
+  if (name == "serial") return ExecutionPolicy::serial();
+  if (name == "threaded") return ExecutionPolicy::threaded(jobs);
   throw std::invalid_argument("unknown policy '" + name +
                               "' (choose one of: serial, threaded)");
 }
@@ -150,16 +150,13 @@ ServiceOptions service_options_from_args(CliArgs& args,
       "max-pending", 256,
       "admission bound: queue capacity before submissions are rejected"));
   if (register_run_flags) {
-    ExecutionPolicy exec;
-    exec.mode = parse_policy(args.get_string(
-        "policy", "threaded",
-        "execution policy: serial | threaded"));
-    exec.jobs = args.get_jobs();
-    opt.policy = exec;
-    opt.deadline_ms = static_cast<std::size_t>(args.get_int(
-        "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)"));
-    opt.max_retries = static_cast<std::size_t>(args.get_int(
-        "retries", 1, "retry budget per replicate for transient failures"));
+    const std::string policy = args.get_string(
+        "policy", "threaded", "execution policy: serial | threaded");
+    opt.policy = parse_policy(policy, args.get_jobs());
+    opt.deadline_ms = args.get_count(
+        "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)");
+    opt.max_retries = args.get_count(
+        "retries", 1, "retry budget per replicate for transient failures");
     opt.lease_ms = static_cast<std::uint64_t>(args.get_int(
         "lease-ms", 30000,
         "per-job lease validity; renewed after every journaled replicate, "

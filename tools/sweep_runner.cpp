@@ -20,8 +20,9 @@
 // N-th freshly executed replicate reaches the journal — exactly the state
 // a SIGKILL at that moment would leave behind.
 //
-// --policy selects the ExecutionPolicy (serial | threaded).  Statistics and
-// the stats-digest are byte-identical across policies.
+// --policy=serial runs one worker (ignoring --jobs); --policy=threaded runs
+// --jobs workers.  Statistics and the stats-digest are byte-identical
+// across policies.
 //
 // Exit codes and signal handling follow the convention shared with hinetd
 // (service/exit_codes.hpp): 0 ok, 1 permanent failure, 2 usage,
@@ -29,7 +30,6 @@
 // durable state; SIGINT and SIGTERM both request graceful shutdown.
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -45,9 +45,6 @@
 
 namespace {
 
-// detlint-allow(banned-time): whole-batch wall time is a bench-style timer
-using Clock = std::chrono::steady_clock;
-
 hinet::Scenario parse_scenario(const std::string& name) {
   const std::optional<hinet::Scenario> s = hinet::scenario_from_cli_name(name);
   if (!s.has_value()) {
@@ -59,10 +56,10 @@ hinet::Scenario parse_scenario(const std::string& name) {
   return *s;
 }
 
-hinet::ExecutionPolicy::Mode parse_policy(const std::string& name) {
-  using Mode = hinet::ExecutionPolicy::Mode;
-  if (name == "serial") return Mode::kSerial;
-  if (name == "threaded") return Mode::kThreaded;
+hinet::ExecutionPolicy parse_policy(const std::string& name,
+                                   std::size_t jobs) {
+  if (name == "serial") return hinet::ExecutionPolicy::serial();
+  if (name == "threaded") return hinet::ExecutionPolicy::threaded(jobs);
   throw std::invalid_argument("unknown --policy '" + name +
                               "' (choose one of: serial, threaded)");
 }
@@ -101,10 +98,10 @@ int main(int argc, char** argv) {
     const bool resume = args.get_bool(
         "resume", false,
         "continue a sweep whose journal already holds replicates");
-    const std::size_t deadline_ms = static_cast<std::size_t>(args.get_int(
-        "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)"));
-    const std::size_t retries = static_cast<std::size_t>(args.get_int(
-        "retries", 1, "retry budget per replicate for transient failures"));
+    const std::size_t deadline_ms = args.get_count(
+        "deadline-ms", 0, "per-replicate wall-clock budget (0 = none)");
+    const std::size_t retries = args.get_count(
+        "retries", 1, "retry budget per replicate for transient failures");
     const std::size_t abort_after = static_cast<std::size_t>(args.get_int(
         "abort-after", 0,
         "crash lever for CI: hard-exit(42) after this many fresh "
@@ -125,10 +122,8 @@ int main(int argc, char** argv) {
     const Scenario scenario = parse_scenario(scenario_arg);
     const SpecFactory factory = scenario_factory(scenario, cfg);
 
-    ExecutionPolicy exec;
-    exec.mode = parse_policy(policy_arg);
-    exec.jobs = jobs;
-    const ExperimentOptions options{reps, seed, exec};
+    const ExperimentOptions options{reps, seed,
+                                    parse_policy(policy_arg, jobs)};
 
     std::unique_ptr<ExperimentJournal> journal;
     if (!journal_path.empty()) {
@@ -167,17 +162,13 @@ int main(int argc, char** argv) {
       };
     }
 
-    const auto t0 = Clock::now();
-    const SupervisedBatch batch =
-        run_replicates_supervised(factory, options, policy);
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    SupervisedBatch batch = run_replicates_supervised(factory, options, policy);
 
     std::cout << "scenario=" << scenario_arg << " nodes=" << cfg.nodes
               << " heads=" << cfg.heads << " k=" << cfg.k
               << " alpha=" << cfg.alpha << " L=" << cfg.hop_l
               << " reps=" << reps << " seed=" << seed
-              << " policy=" << to_string(exec.mode) << "\n";
+              << " policy=" << policy_arg << "\n";
     std::cout << "completed: " << batch.completed() << "/" << reps
               << "  from-journal: " << batch.from_journal
               << "  retried: " << batch.retried_replicates
@@ -193,19 +184,20 @@ int main(int argc, char** argv) {
       std::cerr << "error: no replicate completed — nothing to aggregate\n";
       return kExitFailed;
     }
-    const AggregateResult agg =
-        aggregate_supervised(batch, seconds, exec.effective_jobs());
+    const int status = batch.cancelled          ? kExitTransient
+                       : batch.failures.empty() ? kExitOk
+                                                : kExitFailed;
+    const AggregateResult agg = aggregate_supervised(std::move(batch));
     std::cout << agg.to_string() << "\n";
     std::ostringstream digest;
     digest << std::hex << std::setw(16) << std::setfill('0')
            << agg.stats_digest();
     std::cout << "stats-digest: " << digest.str() << "\n";
 
-    if (batch.cancelled) {
+    if (status == kExitTransient) {
       std::cout << "interrupted — rerun with --resume to finish the sweep\n";
-      return kExitTransient;
     }
-    return batch.failures.empty() ? kExitOk : kExitFailed;
+    return status;
   } catch (const std::exception& e) {
     std::cerr << "sweep_runner: " << e.what() << "\n";
     return exit_code_for_exception(e);
